@@ -5,9 +5,13 @@
 //! ```
 //!
 //! Writes one shrunken repro for the planted `forbid-aborts` violation
-//! plus one clean digest pin per serving path (the first sampled seed
-//! that drives each path). Every file is replayed as a tier-1
-//! regression test by `tests/chaos_replay.rs`: a digest drift there
+//! plus [`PINS_PER_PATH`] clean digest pins per simulator path: the
+//! first sampled seeds that drive each path, `clean-pin-<path>` for the
+//! first and `clean-pin-<path>-2` .. `-8` for the rest. The
+//! `clean-pin-<path>-0` files are pins cut by an earlier revision of the
+//! sampler; they are self-contained points, so they stay in the corpus
+//! and this generator leaves them alone. Every file is replayed as a
+//! tier-1 regression test by `tests/chaos_replay.rs`: a digest drift there
 //! means simulator behaviour changed and the corpus (and likely the
 //! golden snapshots) must be regenerated deliberately.
 
@@ -15,6 +19,9 @@ use cllm_chaos::point::{planted_demo, sample_point, PathSpec};
 use cllm_chaos::repro::Repro;
 use cllm_chaos::run::run_point;
 use cllm_chaos::shrink::shrink;
+
+/// Clean digest pins written per simulator path.
+const PINS_PER_PATH: usize = 8;
 
 fn main() {
     let dir = std::env::args()
@@ -34,20 +41,20 @@ fn main() {
         &Repro::capture(shrunk, &outcome),
     );
 
-    // One clean digest pin per path: the first sampled seed driving it.
-    let mut pinned: Vec<&'static str> = Vec::new();
+    // Clean digest pins per path: the first sampled seeds driving it.
+    let mut pinned = [0usize; 3];
     for seed in 0.. {
         let point = sample_point(seed);
-        let name = match &point.path {
-            PathSpec::Single(_) => "clean-pin-single",
-            PathSpec::Cluster(_) => "clean-pin-cluster",
-            PathSpec::Autoscale(_) => "clean-pin-autoscale",
+        let (slot, path) = match &point.path {
+            PathSpec::Single(_) => (0, "single"),
+            PathSpec::Cluster(_) => (1, "cluster"),
+            PathSpec::Autoscale(_) => (2, "autoscale"),
             // Infer digests hash real engine tokens, whose argmax can
             // shift with platform libm (sin/cos in RoPE); pin only the
             // simulator paths, whose arithmetic is libm-free.
             PathSpec::Infer(_) => continue,
         };
-        if pinned.contains(&name) {
+        if pinned[slot] == PINS_PER_PATH {
             continue;
         }
         let outcome = run_point(&point);
@@ -56,9 +63,13 @@ fn main() {
             "seed {seed} unexpectedly violates: {:?}",
             outcome.violations
         );
-        write(&dir, name, &Repro::capture(point, &outcome));
-        pinned.push(name);
-        if pinned.len() == 3 {
+        pinned[slot] += 1;
+        let name = match pinned[slot] {
+            1 => format!("clean-pin-{path}"),
+            k => format!("clean-pin-{path}-{k}"),
+        };
+        write(&dir, &name, &Repro::capture(point, &outcome));
+        if pinned.iter().all(|&k| k == PINS_PER_PATH) {
             break;
         }
     }
