@@ -30,7 +30,8 @@ use super::{Column, ExperimentResult, Unit, Value};
 use crate::scenario::Sweep;
 use cllm_cost::{CpuPricing, GpuPricing, SpillPenalty};
 use cllm_serve::autoscale::{
-    simulate_autoscale, AutoscaleConfig, AutoscaleReport, ControllerConfig, RentalSpec,
+    simulate_autoscale, simulate_autoscale_traced, AutoscaleConfig, AutoscaleReport,
+    ControllerConfig, RentalSpec,
 };
 use cllm_serve::cluster::NodeSpec;
 use cllm_serve::faults::FaultRates;
@@ -170,6 +171,23 @@ pub fn config_for(platform: &str, mode: &str) -> AutoscaleConfig {
 #[must_use]
 pub fn report_for(platform: &str, mode: &str) -> AutoscaleReport {
     simulate_autoscale(&config_for(platform, mode))
+}
+
+/// Span trace of every arm: one lane per `(platform, mode)` in table
+/// order, each the traced twin of [`report_for`] (byte-identical
+/// report). Rentals tile their timelines from t=0 — idle until rented,
+/// then `cold-start` or `warm-standby` until ready — so the cold-start
+/// toll shows up as outage time on the node that paid it.
+#[must_use]
+pub fn trace() -> cllm_obs::Trace {
+    let arms: Vec<(&str, &str)> = PLATFORMS
+        .iter()
+        .flat_map(|&p| MODES.iter().map(move |&m| (p, m)))
+        .collect();
+    let lanes = crate::runner::par_map(&arms, crate::runner::grid_workers(), |&(p, m)| {
+        simulate_autoscale_traced(&config_for(p, m)).1
+    });
+    cllm_obs::Trace::merge(lanes)
 }
 
 /// Run the experiment.

@@ -143,11 +143,12 @@ pub fn run_by_id(id: &str) -> Option<ExperimentResult> {
 /// Experiments that can export a span trace (`--trace`), in registry
 /// order. Offline roofline sweeps have no event loop to trace; only the
 /// serving-simulation experiments do.
-pub const TRACEABLE: [&str; 4] = [
+pub const TRACEABLE: [&str; 5] = [
     "serving",
     "resilience",
     "cluster_resilience",
     "time_attribution",
+    "flash_crowd",
 ];
 
 /// Build the span trace for a traceable experiment. `None` if `id` is
@@ -159,6 +160,7 @@ pub fn trace_by_id(id: &str) -> Option<cllm_obs::Trace> {
         "resilience" => Some(resilience::trace()),
         "cluster_resilience" => Some(cluster_resilience::trace()),
         "time_attribution" => Some(time_attribution::trace()),
+        "flash_crowd" => Some(flash_crowd::trace()),
         _ => None,
     }
 }

@@ -10,20 +10,20 @@
 //! steady carrying cost; the break-even between the two is the headline
 //! of the `flash_crowd` experiment.
 //!
-//! The driver reuses the PR-6 discrete-event kernel and the cluster
-//! loop's node machinery, adding:
+//! The driver is the fleet loop ([`crate::fleet`]) that also runs the
+//! fixed cluster, plus a controller hook at each arrival. It adds:
 //!
 //! * **a dynamic fleet** — nodes progress through
 //!   `ColdStart → Attesting → Unsealing → Serving → Draining → Retired`;
 //!   a cold-started node joins routing only at its ready time, a
 //!   draining node takes no new work and retires when idle, and both the
 //!   cold-start downtime and the drain deadline are clamped to the
-//!   horizon (the PR-6 `reattest_s` clamp, applied to the new machinery);
+//!   horizon, like every outage;
 //! * **tiered overload protection** — per-tier queue caps and staleness
 //!   deadlines ([`TieredAdmission`]):
 //!   free is shed first, premium last;
 //! * **retry budgets with a storm circuit** —
-//!   [`RetryStormGuard`] bounds both the
+//!   [`RetryStormGuard`](crate::router::RetryStormGuard) bounds both the
 //!   per-request attempts and the fleet-wide retry rate, converting
 //!   metastable retry storms into bounded aborts;
 //! * **brownout** — [`Brownout`] degrades
@@ -32,26 +32,26 @@
 //!   base fleet are priced through [`cllm_cost::RentalBill`], yielding
 //!   effective $/Mtok on *delivered* goodput.
 //!
+//! [`simulate_autoscale_traced`] records the same span and event
+//! taxonomy as a traced cluster run, plus scale-up and drain events.
 //! Everything is deterministic in the config's seeds: two runs are
 //! byte-identical on any `CLLM_RUNNER_THREADS`.
 
-use crate::cluster::{hs_seed, place, ClusterRetry, NodeSpec, NodeState};
-use crate::faults::{attested_rehandshake_phased, FaultEvent, FaultKind, FaultPlan, FaultRates};
-use crate::kernel::{EventQueue, KernelStats, RequestSlab};
+use crate::cluster::NodeSpec;
+use crate::faults::{FaultEvent, FaultPlan, FaultRates};
+use crate::fleet::{least_loaded, node_scope, place, run_fleet, NodeState, Run};
+use crate::kernel::KernelStats;
 use crate::router::{
-    route_least_loaded, BreakerConfig, Brownout, BrownoutConfig, CircuitBreaker, RetryBudget,
-    RetryStormGuard, TieredAdmission,
+    AdmissionPolicy, BreakerConfig, Brownout, BrownoutConfig, RetryBudget, TieredAdmission,
 };
-use crate::scheduler::{Admission, ContinuousBatcher};
 use crate::sim::{RequestRecord, ServingConfig, ServingNode};
-use crate::slo::sorted_percentile;
+use crate::slo::{goodput_tps, percentile_or_zero, sorted};
 use crate::workload::Request;
 use cllm_cost::{RentalBill, SpillPenalty};
-use cllm_obs::TraceSink;
+use cllm_obs::{SpanKind, Trace, TraceSink};
 use cllm_tee::attestation::Measurement;
 use cllm_tee::sealed::SealedBlob;
 use cllm_tee::session::{enclave_respond, Verifier};
-use cllm_workload::kv;
 use cllm_workload::trace::{Tier, TraceRequest, TrafficModel};
 use serde::{Deserialize, Serialize};
 
@@ -177,8 +177,9 @@ impl TierReport {
 }
 
 /// The outcome of one autoscaling simulation. Conservation holds by
-/// construction: `completed + aborted + shed == arrivals`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// construction: `completed + aborted + shed == arrivals`. The default
+/// is the report of a run with no traffic.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct AutoscaleReport {
     /// Requests the traffic model generated.
     pub arrivals: usize,
@@ -245,30 +246,6 @@ pub struct AutoscaleReport {
     pub records: Vec<RequestRecord>,
 }
 
-/// One fleet member with its lifecycle envelope around the shared
-/// [`NodeState`] machinery.
-struct FleetNode {
-    st: NodeState,
-    /// When the node may first take work (cold start done). `0.0` for
-    /// the base fleet and promoted warm standbys.
-    ready_at_s: f64,
-    /// When rent started accruing (`0.0` for base and warm nodes).
-    rented_at_s: f64,
-    /// Whether the node bills at the rental price.
-    rented: bool,
-    draining: bool,
-    drain_deadline_s: f64,
-    retired: bool,
-    retired_at_s: f64,
-}
-
-impl FleetNode {
-    /// Whether the router may consider this node at time `t`.
-    fn eligible(&self, t: f64) -> bool {
-        !self.retired && !self.draining && self.ready_at_s <= t
-    }
-}
-
 /// Drive one *successful* cold-start secure boot through the real
 /// attestation and sealing layers: a golden-measurement handshake must
 /// verify, and a sealed weight-shard stand-in must round-trip under the
@@ -317,24 +294,89 @@ pub fn simulate_autoscale(cfg: &AutoscaleConfig) -> AutoscaleReport {
 ///
 /// Panics if the base fleet is empty.
 #[must_use]
-#[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
 pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, KernelStats) {
+    run_autoscale(cfg, &mut TraceSink::disabled())
+}
+
+/// Traced twin of [`simulate_autoscale`]: byte-identical report (span
+/// emission only reads node clocks), plus the recorded single-lane
+/// [`Trace`]. Every node's timeline is tiled from t=0 out to the
+/// makespan: a rental is idle (`unrented`) until it is rented, then out
+/// (`cold-start`, or `warm-standby` for a promoted standby) until it is
+/// ready, and a retired node idles out the rest. Scale-ups and drains
+/// are events on the node they touch.
+///
+/// # Panics
+///
+/// Panics if the base fleet is empty.
+#[must_use]
+pub fn simulate_autoscale_traced(cfg: &AutoscaleConfig) -> (AutoscaleReport, Trace) {
+    let mut sink = TraceSink::new();
+    let (report, _) = run_autoscale(cfg, &mut sink);
+    (report, sink.finish())
+}
+
+/// Per-request tiers and the per-tier outcome tally: which tier each
+/// dense request id belongs to, its staleness deadline, and where each
+/// request of the tier ended up.
+pub(crate) struct TierBook {
+    tier_of: Vec<Tier>,
+    policy: TieredAdmission,
+    out: [TierReport; 3],
+}
+
+impl TierBook {
+    fn new(tier_of: Vec<Tier>, policy: TieredAdmission) -> Self {
+        let mut out = [TierReport::default(); 3];
+        for t in &tier_of {
+            out[t.index()].arrivals += 1;
+        }
+        TierBook {
+            tier_of,
+            policy,
+            out,
+        }
+    }
+
+    fn tier(&self, id: u64) -> Tier {
+        // infallible: request ids are dense trace indices (0..len)
+        self.tier_of[usize::try_from(id).expect("dense id")]
+    }
+
+    /// How long request `id` may wait in a queue before it is shed.
+    pub(crate) fn deadline_s(&self, id: u64) -> f64 {
+        self.policy.policy(self.tier(id)).deadline_s
+    }
+
+    /// The outcome tally of request `id`'s tier.
+    pub(crate) fn tally(&mut self, id: u64) -> &mut TierReport {
+        &mut self.out[self.tier(id).index()]
+    }
+
+    pub(crate) fn complete(&mut self, id: u64, ttft_s: f64, tpot_s: f64) {
+        let slo = self.policy.policy(self.tier(id)).slo;
+        let out = self.tally(id);
+        out.completed += 1;
+        if ttft_s <= slo.ttft_s && tpot_s <= slo.tpot_s {
+            out.slo_met += 1;
+        }
+    }
+}
+
+#[allow(clippy::too_many_lines, clippy::cast_precision_loss)]
+fn run_autoscale(cfg: &AutoscaleConfig, sink: &mut TraceSink) -> (AutoscaleReport, KernelStats) {
     assert!(!cfg.base_fleet.is_empty(), "autoscale needs a base fleet");
     let horizon_s = cfg.serving.duration_s;
-    let mut stats = KernelStats::default();
-    let mut sink = TraceSink::disabled();
-
     let trace: Vec<TraceRequest> = if horizon_s > 0.0 {
         cfg.traffic.generate(horizon_s)
     } else {
         Vec::new()
     };
-    let onsets = cfg.traffic.bursts.onsets(horizon_s.max(0.0));
     if trace.is_empty() {
-        return (empty_report(), stats);
+        return (AutoscaleReport::default(), KernelStats::default());
     }
-    let tier_of: Vec<Tier> = trace.iter().map(|r| r.tier).collect();
-    let mut pending: std::collections::VecDeque<Request> = trace
+    let onsets = cfg.traffic.bursts.onsets(horizon_s);
+    let pending = trace
         .iter()
         .map(|r| Request {
             id: r.id,
@@ -343,400 +385,49 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
             output_tokens: r.output_tokens,
         })
         .collect();
-    let total_arrivals = pending.len();
-    let mut tiers_out = [TierReport::default(); 3];
-    for t in &tier_of {
-        tiers_out[t.index()].arrivals += 1;
-    }
-
     // The fleet: base nodes first (always ready), rentals appended live.
-    let mut nodes: Vec<FleetNode> = cfg
+    let mut nodes: Vec<NodeState> = cfg
         .base_fleet
         .iter()
         .map(|spec| {
-            let base = FaultPlan::seeded(&spec.rates, horizon_s, spec.seed);
-            let policy = base.policy;
-            let plan = base.merge(FaultPlan {
-                events: spec.extra_events.clone(),
-                policy,
-            });
-            FleetNode {
-                st: new_node_state(cfg, spec.node.clone(), plan),
-                ready_at_s: 0.0,
-                rented_at_s: 0.0,
-                rented: false,
-                draining: false,
-                drain_deadline_s: f64::INFINITY,
-                retired: false,
-                retired_at_s: 0.0,
-            }
+            NodeState::new(
+                spec.node.clone(),
+                &cfg.serving,
+                cfg.breaker,
+                spec.plan(horizon_s),
+            )
         })
         .collect();
-
-    let mut retry_queue: EventQueue<ClusterRetry> = EventQueue::new();
-    let mut slab = RequestSlab::new(total_arrivals);
-    let mut guard = RetryStormGuard::new(cfg.retry);
-    let mut brownout = cfg.brownout.map(Brownout::new);
-    let per_token_bytes = kv::kv_bytes_per_sequence(&cfg.serving.model, 1, cfg.serving.dtype);
-    let block_bytes = per_token_bytes * cfg.serving.kv.block_tokens as f64;
-
-    let mut records: Vec<RequestRecord> = Vec::with_capacity(total_arrivals);
-    let mut shed = 0usize;
-    let mut aborted = 0usize;
-    let mut retries = 0u64;
-    let mut spills = 0u64;
-    let mut scale_ups = 0u64;
-    let mut warm_promotions = 0u64;
-    let mut cold_starts = 0u64;
-    let mut scale_downs = 0u64;
-    let mut cold_start_s = 0.0f64;
-    let mut unseal_total_s = 0.0f64;
-    let mut warm_available = cfg.warm_pool;
-    let mut next_control_s = 0.0f64;
-    let mut low_ticks = 0u32;
-
-    loop {
-        let t_arrival = pending.front().map(|r| r.arrival_s);
-        let next_retry = retry_queue.peek_time();
-        let t_dispatch = match (t_arrival, next_retry) {
-            (Some(a), Some(r)) => Some(a.min(r)),
-            (Some(a), None) => Some(a),
-            (None, Some(r)) => Some(r),
-            (None, None) => None,
-        };
-
-        let runnable = nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| !n.retired && !n.st.scheduler.idle())
-            .min_by(|(i, a), (j, b)| {
-                a.st.now
-                    .partial_cmp(&b.st.now)
-                    // infallible: sim clocks are sums of finite step times; the non-finite invariant would trip first
-                    .expect("finite clocks")
-                    .then(i.cmp(j))
-            })
-            .map(|(i, n)| (i, n.st.now));
-
-        let do_dispatch = match (t_dispatch, runnable) {
-            (None, None) => break,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (Some(t), Some((_, node_now))) => t <= node_now,
-        };
-
-        if do_dispatch {
-            let arrival_first = match (t_arrival, next_retry) {
-                (Some(a), Some(r)) => a <= r,
-                (Some(_), None) => true,
-                _ => false,
-            };
-            if arrival_first {
-                let mut r = pending.pop_front().expect("arrival checked");
-                stats.arrivals += 1;
-                let t = r.arrival_s;
-                // infallible: request ids are dense trace indices (0..len), here and in every tier_of lookup below
-                let tier = tier_of[usize::try_from(r.id).expect("dense id")];
-
-                // Controller tick (deterministic, sim-time driven).
-                if t >= next_control_s {
-                    next_control_s = t + cfg.controller.control_interval_s;
-                    run_controller(
-                        cfg,
-                        &mut nodes,
-                        t,
-                        horizon_s,
-                        &mut warm_available,
-                        &mut scale_ups,
-                        &mut warm_promotions,
-                        &mut cold_starts,
-                        &mut scale_downs,
-                        &mut cold_start_s,
-                        &mut unseal_total_s,
-                        &mut low_ticks,
-                        &mut sink,
-                    );
-                }
-
-                // Brownout: degrade output length before shedding.
-                if let Some(b) = brownout.as_mut() {
-                    let depth: usize = nodes
-                        .iter()
-                        .filter(|n| !n.retired)
-                        .map(|n| n.st.scheduler.queued())
-                        .sum();
-                    if b.observe_depth(depth) {
-                        r.output_tokens = b.cap_output(r.output_tokens);
-                    }
-                }
-
-                // Tier queue cap: count this tier's queued work fleet-wide.
-                let tier_queued: usize = nodes
-                    .iter()
-                    .filter(|n| !n.retired)
-                    .flat_map(|n| n.st.scheduler.queued_requests())
-                    .filter(|q| tier_of[usize::try_from(q.id).expect("dense id")] == tier)
-                    .count();
-                if tier_queued >= cfg.tiers.policy(tier).queue_cap {
-                    shed += 1;
-                    tiers_out[tier.index()].shed += 1;
-                    stats.rejections += 1;
-                    continue;
-                }
-
-                let mut candidates = Vec::with_capacity(nodes.len());
-                for (i, n) in nodes.iter_mut().enumerate() {
-                    if n.eligible(t) && n.st.breaker.accepts(t) {
-                        candidates.push((i, n.st.depth()));
-                    }
-                }
-                match route_least_loaded(&candidates) {
-                    Some(i) => place(&mut nodes[i].st, i, r, t, &mut sink),
-                    None => {
-                        shed += 1;
-                        tiers_out[tier.index()].shed += 1;
-                        stats.rejections += 1;
-                    }
-                }
-            } else {
-                let (t, e) = retry_queue.pop().expect("retry checked");
-                stats.retries_delivered += 1;
-                let mut candidates = Vec::with_capacity(nodes.len());
-                for (i, n) in nodes.iter_mut().enumerate() {
-                    if n.eligible(t) && n.st.breaker.accepts(t) {
-                        candidates.push((i, n.st.depth()));
-                    }
-                }
-                // Retries are always placeable among live nodes: fall
-                // back past breakers to the least-loaded eligible node
-                // (the base fleet is never draining, so one exists).
-                let target = route_least_loaded(&candidates).unwrap_or_else(|| {
-                    let all: Vec<(usize, usize)> = nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, n)| n.eligible(t))
-                        .map(|(i, n)| (i, n.st.depth()))
-                        .collect();
-                    // infallible: the base fleet never drains, so an eligible node always exists
-                    route_least_loaded(&all).expect("base fleet is always eligible")
-                });
-                if nodes[target].st.is_gpu() != e.origin_gpu {
-                    spills += 1;
-                    slab.mark_spilled(e.request.id);
-                }
-                place(&mut nodes[target].st, target, e.request, t, &mut sink);
-            }
-            continue;
-        }
-
-        // Advance the chosen node by one batching iteration.
-        // infallible: the advance branch is only taken when `runnable` is Some
-        let (i, _) = runnable.expect("advance branch requires a runnable node");
-        let n = &mut nodes[i];
-
-        // Faults due by the node clock, oldest first.
-        while n
-            .st
-            .plan
-            .events
-            .get(n.st.next_event)
-            .is_some_and(|e| e.at_s <= n.st.now)
-        {
-            let ev = n.st.plan.events[n.st.next_event];
-            n.st.next_event += 1;
-            stats.faults_applied += 1;
-            apply_fault(
-                &ev,
-                &mut n.st,
-                i,
-                horizon_s,
-                &mut slab,
-                &mut retry_queue,
-                &mut guard,
-                &mut retries,
-                &mut aborted,
-                &mut tiers_out,
-                &tier_of,
-            );
-        }
-
-        // Drain deadline: a draining node out of grace force-drains its
-        // running batch to the retry path (bounded by the storm guard).
-        if n.draining && n.st.now >= n.drain_deadline_s && !n.st.scheduler.running().is_empty() {
-            let origin_gpu = n.st.is_gpu();
-            let now = n.st.now;
-            for victim in n.st.scheduler.drain_running() {
-                let id = victim.request.id;
-                let a = slab.bump_attempts(id);
-                if guard.admit_retry(now, a - 1) {
-                    retries += 1;
-                    retry_queue.push_keyed(
-                        now + n.st.plan.policy.backoff_s(a),
-                        id,
-                        ClusterRetry {
-                            request: victim.request,
-                            origin: i,
-                            origin_gpu,
-                        },
-                    );
-                } else {
-                    aborted += 1;
-                    tiers_out[tier_of[usize::try_from(id).expect("dense id")].index()].aborted += 1;
-                }
-            }
-        }
-        if n.draining && n.st.scheduler.idle() {
-            // A gray StuckDrain window wedges the scale-down: the node
-            // keeps renting (billed until it actually retires) without
-            // serving. `drain_deadline_s` is horizon-clamped when the
-            // controller sets it, so the billed tail is bounded.
-            n.retired = true;
-            n.retired_at_s = drain_retire_time(n.st.now, n.st.stuck_until_s, n.drain_deadline_s);
-            continue;
-        }
-
-        // Tier staleness deadlines: shed queued requests past their
-        // tier's patience.
-        {
-            let now = n.st.now;
-            let tiers = &cfg.tiers;
-            let tier_of_ref = &tier_of;
-            let dropped = n.st.scheduler.shed(|r| {
-                let tier = tier_of_ref[usize::try_from(r.id).expect("dense id")];
-                now - r.arrival_s > tiers.policy(tier).deadline_s
-            });
-            shed += dropped.len();
-            stats.rejections += dropped.len() as u64;
-            for r in &dropped {
-                tiers_out[tier_of[usize::try_from(r.id).expect("dense id")].index()].shed += 1;
-            }
-        }
-
-        // Admit + prefill (retried victims re-attest, spilled victims
-        // re-quantise, swapped-out sequences resume after a swap-in).
-        let admitted =
-            n.st.scheduler
-                .admit_any(&cfg.serving.model, cfg.serving.dtype, n.st.now);
-        for adm in admitted {
-            match adm {
-                Admission::Fresh(r) => {
-                    stats.admissions += 1;
-                    if slab.attempts(r.id) > 0 {
-                        n.st.now += n.st.plan.policy.reattest_s;
-                    }
-                    let mut t_prefill = n.st.node.prefill_time_s(&cfg.serving, r.prompt_tokens);
-                    if slab.take_spilled(r.id) {
-                        n.st.now += cfg.spill.requant_s;
-                        t_prefill *= cfg.spill.prefill_factor;
-                    }
-                    n.st.now += t_prefill;
-                    n.st.scheduler.start(r, n.st.now);
-                }
-                Admission::Resumed {
-                    request: _,
-                    swap_in_tokens,
-                } => {
-                    stats.swap_ins += 1;
-                    let bytes = swap_in_tokens as f64 * per_token_bytes;
-                    n.st.swap_in_bytes += bytes;
-                    n.st.now += n.st.node.kv_swap_time_s(bytes);
-                }
-            }
-        }
-
-        if n.st.scheduler.running().is_empty() {
-            continue;
-        }
-
-        // Page-pool pressure: evictions off the batch tail.
-        let prep = n.st.scheduler.prepare_step(n.st.now);
-        stats.preemptions += (prep.preempted_recompute.len() + prep.preempted_swap.len()) as u64;
-        n.st.preemptions += (prep.preempted_recompute.len() + prep.preempted_swap.len()) as u64;
-        for victim in &prep.preempted_swap {
-            stats.swap_outs += 1;
-            let bytes = victim.context() as f64 * per_token_bytes;
-            n.st.swap_out_bytes += bytes;
-            n.st.now += n.st.node.kv_swap_time_s(bytes);
-        }
-
-        let batch = n.st.scheduler.running().len() as u64;
-        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-        let mean_context = (n
-            .st
-            .scheduler
-            .running()
-            .iter()
-            .map(|a| a.context())
-            .sum::<u64>() as f64
-            / batch as f64)
-            .round() as u64;
-        let mut t_step =
-            n.st.node
-                .decode_step_time_s(&cfg.serving, batch, mean_context);
-        if prep.resident_pages > 0 {
-            let excess = prep.resident_pages as f64 * block_bytes - n.st.kv_budget_bytes;
-            if excess > 0.0 {
-                t_step += n.st.node.kv_pressure_stall_s(excess);
-            }
-        }
-        // A step that begins inside a gray DegradedThroughput window
-        // runs at the derated rate — no breaker error, no downtime.
-        if n.st.now < n.st.derate_until_s {
-            t_step *= crate::faults::DEGRADED_THROUGHPUT_FACTOR;
-        }
-        n.st.now += t_step;
-        stats.decode_steps += 1;
-
-        for fin in n.st.scheduler.step() {
-            let ttft = fin.first_token_s - fin.request.arrival_s;
-            let decode_span = n.st.now - fin.first_token_s;
-            let tpot = decode_span / (fin.request.output_tokens.saturating_sub(1).max(1)) as f64;
-            n.st.useful_tokens += fin.request.output_tokens;
-            n.st.completed += 1;
-            stats.completions += 1;
-            let tier = tier_of[usize::try_from(fin.request.id).expect("dense id")];
-            tiers_out[tier.index()].completed += 1;
-            let slo = cfg.tiers.policy(tier).slo;
-            if ttft <= slo.ttft_s && tpot <= slo.tpot_s {
-                tiers_out[tier.index()].slo_met += 1;
-            }
-            records.push(RequestRecord {
-                id: fin.request.id,
-                ttft_s: ttft,
-                tpot_s: tpot,
-                e2e_s: n.st.now - fin.request.arrival_s,
-                retries: slab.attempts(fin.request.id),
-            });
-            if n.st.breaker.record_success() {
-                n.st.handshake_seq += 1;
-                attested_rehandshake_phased(hs_seed(i, n.st.handshake_seq), &mut |_| {})
-                    // infallible: simulated attestation over an in-process channel cannot fail; crashes charge recovery time, not handshake errors
-                    .expect("re-handshake must recover the session");
-                n.st.now += n.st.plan.policy.reattest_s;
-                n.st.downtime_s += n.st.plan.policy.reattest_s;
-            }
-        }
-    }
-
+    let mut run = Run::new(&cfg.serving, cfg.spill, cfg.retry, trace.len(), sink);
+    run.tiers = Some(TierBook::new(
+        trace.iter().map(|r| r.tier).collect(),
+        cfg.tiers,
+    ));
+    let mut scaler = Scaler::new(cfg);
+    run_fleet(
+        &mut run,
+        &mut nodes,
+        pending,
+        AdmissionPolicy::unbounded(),
+        true,
+        Some(&mut scaler),
+    );
     // Retire every node still draining (idle by construction once the
     // loop exits) and clamp never-ready rentals to the horizon. A gray
     // StuckDrain window wedges the drain: the node bills until the
     // window clears or its force-retire deadline, whichever is first.
-    for n in &mut nodes {
-        if n.draining && !n.retired {
-            n.retired = true;
-            n.retired_at_s = drain_retire_time(n.st.now, n.st.stuck_until_s, n.drain_deadline_s);
-        }
-        if n.rented && !n.retired && n.ready_at_s >= horizon_s {
+    for n in nodes.iter_mut().filter(|n| !n.retired()) {
+        if let Some(deadline_s) = n.drain_deadline_s {
+            n.retired_at_s = Some(drain_retire_time(n.now, n.stuck_until_s, deadline_s));
+        } else if let Some(at) = n.rented_at_s.filter(|_| n.ready_at_s >= horizon_s) {
             // Rented against a burst so late it never became ready: the
             // contract ends at the horizon, not at the phantom ready
             // time.
-            n.retired = true;
-            n.retired_at_s = horizon_s.max(n.rented_at_s);
+            n.retired_at_s = Some(horizon_s.max(at));
         }
     }
 
-    let makespan_s = nodes.iter().map(|n| n.st.now).fold(0.0f64, f64::max);
+    let makespan_s = nodes.iter().map(|n| n.now).fold(0.0f64, f64::max);
 
     // Billing.
     let bill = RentalBill {
@@ -744,29 +435,23 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
     };
     let rental_cost_usd: f64 = nodes
         .iter()
-        .filter(|n| n.rented)
-        .map(|n| {
-            let end = if n.retired {
-                n.retired_at_s
-            } else {
-                makespan_s
-            };
-            bill.node_cost_usd(end - n.rented_at_s)
+        .filter_map(|n| {
+            let end = n.retired_at_s.unwrap_or(makespan_s);
+            Some(bill.node_cost_usd(end - n.rented_at_s?))
         })
         .sum();
-    let warm_pool_cost_usd = bill.warm_pool_cost_usd(warm_available, horizon_s.max(0.0));
-    let base_bill = RentalBill {
+    let warm_pool_cost_usd = bill.warm_pool_cost_usd(scaler.warm_available, horizon_s.max(0.0));
+    let base_cost_usd = RentalBill {
         price_per_hr: cfg.base_price_per_hr,
-    };
-    let base_cost_usd = base_bill.warm_pool_cost_usd(cfg.base_fleet.len(), makespan_s);
+    }
+    .warm_pool_cost_usd(cfg.base_fleet.len(), makespan_s);
     let total_cost_usd = rental_cost_usd + warm_pool_cost_usd + base_cost_usd;
 
+    let mut records = std::mem::take(&mut run.records);
     records.sort_by_key(|r| r.id);
-    let delivered_tokens: u64 = nodes.iter().map(|n| n.st.useful_tokens).sum();
+    let delivered_tokens: u64 = nodes.iter().map(|n| n.useful_tokens).sum();
     let completed = records.len();
-    let mut ttft: Vec<f64> = records.iter().map(|r| r.ttft_s).collect();
-    // infallible: latencies are differences of finite sim clocks
-    ttft.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let ttft = sorted(records.iter().map(|r| r.ttft_s).collect());
     // The burst tail is judged by *arrival* time; RequestRecord doesn't
     // carry it, so recover it from the trace by id.
     let in_burst = |t: f64| {
@@ -774,13 +459,14 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
             .iter()
             .any(|&o| t >= o && t < o + cfg.traffic.bursts.window_s)
     };
-    let mut burst_ttft: Vec<f64> = records
-        .iter()
-        .filter(|r| in_burst(trace[usize::try_from(r.id).expect("dense id")].arrival_s))
-        .map(|r| r.ttft_s)
-        .collect();
-    // infallible: latencies are differences of finite sim clocks
-    burst_ttft.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let burst_ttft = sorted(
+        records
+            .iter()
+            // infallible: request ids are dense trace indices (0..len)
+            .filter(|r| in_burst(trace[usize::try_from(r.id).expect("dense id")].arrival_s))
+            .map(|r| r.ttft_s)
+            .collect(),
+    );
 
     let usd_per_mtok = if delivered_tokens == 0 {
         0.0
@@ -788,242 +474,215 @@ pub fn simulate_autoscale_stats(cfg: &AutoscaleConfig) -> (AutoscaleReport, Kern
         total_cost_usd / (delivered_tokens as f64 / 1.0e6)
     };
     let report = AutoscaleReport {
-        arrivals: total_arrivals,
+        arrivals: trace.len(),
         completed,
-        aborted,
-        shed,
-        retries,
-        storm_drops: guard.storm_drops,
-        spills,
-        scale_ups,
-        warm_promotions,
-        cold_starts,
-        scale_downs,
-        cold_start_s,
-        unseal_s: unseal_total_s,
-        brownout_activations: brownout.as_ref().map_or(0, |b| b.activations),
-        tokens_trimmed: brownout.as_ref().map_or(0, |b| b.tokens_trimmed),
+        aborted: run.aborted,
+        shed: run.rejected,
+        retries: run.retries,
+        storm_drops: run.guard.storm_drops,
+        spills: run.spills,
+        brownout_activations: scaler.brownout.as_ref().map_or(0, |b| b.activations),
+        tokens_trimmed: scaler.brownout.as_ref().map_or(0, |b| b.tokens_trimmed),
         makespan_s,
-        goodput_tps: if completed == 0 {
-            0.0
-        } else {
-            delivered_tokens as f64 / makespan_s.max(1e-9)
-        },
+        goodput_tps: goodput_tps(delivered_tokens, completed, makespan_s),
         delivered_tokens,
         ttft_p50_s: percentile_or_zero(&ttft, 0.50),
         ttft_p99_s: percentile_or_zero(&ttft, 0.99),
         ttft_p99_burst_s: percentile_or_zero(&burst_ttft, 0.99),
-        tiers: tiers_out,
+        // infallible: set above, before the loop
+        tiers: run.tiers.as_ref().expect("autoscale runs keep tiers").out,
         rental_cost_usd,
         warm_pool_cost_usd,
         base_cost_usd,
         total_cost_usd,
         usd_per_mtok,
         records,
+        ..scaler.ledger
     };
     #[cfg(debug_assertions)]
-    {
-        let v = crate::invariants::check_autoscale(&report);
-        debug_assert!(
-            v.is_empty(),
-            "autoscale invariants violated: {}",
-            crate::invariants::describe(&v)
+    crate::invariants::debug_assert_clean(
+        "autoscale",
+        &crate::invariants::check_autoscale(&report),
+    );
+    (report, run.stats)
+}
+
+/// What autoscaling adds to the fleet loop at each arrival — the
+/// controller tick, brownout, and the tier queue cap — plus the ledger
+/// of scale decisions it leaves behind.
+pub(crate) struct Scaler<'c> {
+    cfg: &'c AutoscaleConfig,
+    brownout: Option<Brownout>,
+    next_control_s: f64,
+    low_ticks: u32,
+    warm_available: usize,
+    /// The report's scale-up, scale-down and cold-start fields, written
+    /// as the decisions happen; every other field stays at its default.
+    ledger: AutoscaleReport,
+}
+
+impl<'c> Scaler<'c> {
+    fn new(cfg: &'c AutoscaleConfig) -> Self {
+        Scaler {
+            cfg,
+            brownout: cfg.brownout.map(Brownout::new),
+            next_control_s: 0.0,
+            low_ticks: 0,
+            warm_available: cfg.warm_pool,
+            ledger: AutoscaleReport::default(),
+        }
+    }
+
+    /// Arrival hook: run the controller when a tick is due
+    /// (deterministic, sim-time driven), degrade the request's output
+    /// length under brownout, then admit it only if its tier's
+    /// fleet-wide queue is under the cap. `false` means shed it.
+    pub(crate) fn admit(
+        &mut self,
+        r: &mut Request,
+        nodes: &mut Vec<NodeState>,
+        run: &mut Run<'_>,
+    ) -> bool {
+        let t = r.arrival_s;
+        if t >= self.next_control_s {
+            self.next_control_s = t + self.cfg.controller.control_interval_s;
+            self.tick(nodes, t, run.sink);
+        }
+        if let Some(b) = self.brownout.as_mut() {
+            if b.observe_depth(queued(nodes)) {
+                r.output_tokens = b.cap_output(r.output_tokens);
+            }
+        }
+        // infallible: autoscale runs always carry a tier book
+        let tiers = run.tiers.as_ref().expect("autoscale runs keep tiers");
+        let tier = tiers.tier(r.id);
+        let tier_queued = nodes
+            .iter()
+            .filter(|n| !n.retired())
+            .flat_map(|n| n.scheduler.queued_requests())
+            .filter(|q| tiers.tier(q.id) == tier)
+            .count();
+        tier_queued < self.cfg.tiers.policy(tier).queue_cap
+    }
+
+    /// One controller evaluation at time `t`: scale up against backlog
+    /// (warm promotion first, then cold rentals paying the real attested
+    /// boot), scale down after sustained calm by draining the newest
+    /// rental.
+    #[allow(clippy::cast_precision_loss)]
+    fn tick(&mut self, nodes: &mut Vec<NodeState>, t: f64, sink: &mut TraceSink) {
+        let cfg = self.cfg;
+        let horizon_s = cfg.serving.duration_s;
+        let serving = nodes.iter().filter(|n| n.eligible(t)).count().max(1);
+        let backlog_per_node = queued(nodes) as f64 / serving as f64;
+        let rented_active = nodes
+            .iter()
+            .filter(|n| n.rented_at_s.is_some() && !n.retired() && n.drain_deadline_s.is_none())
+            .count();
+
+        if backlog_per_node > cfg.controller.up_depth_per_node {
+            self.low_ticks = 0;
+            for step in 0..cfg.controller.scale_up_step {
+                if rented_active + step >= cfg.controller.max_rented {
+                    break;
+                }
+                nodes.push(self.rent(nodes.len(), t, sink));
+                self.ledger.scale_ups += 1;
+            }
+            return;
+        }
+
+        if backlog_per_node <= cfg.controller.down_depth_per_node && rented_active > 0 {
+            self.low_ticks += 1;
+            if self.low_ticks >= cfg.controller.scale_down_ticks {
+                self.low_ticks = 0;
+                self.ledger.scale_downs += 1;
+                // Drain the newest active rental: stop routing to it, move
+                // its queued work to the survivors, give the running batch a
+                // horizon-clamped grace window.
+                let victim = nodes
+                    .iter()
+                    .rposition(|n| n.rented_at_s.is_some() && n.eligible(t));
+                if let Some(v) = victim {
+                    sink.event(node_scope(v), "drain", t, String::new());
+                    let deadline_s = (t + cfg.controller.drain_window_s).min(horizon_s);
+                    nodes[v].drain_deadline_s = Some(deadline_s);
+                    let moved = nodes[v].scheduler.shed(|_| true);
+                    for r in moved {
+                        // infallible: the base fleet never drains, so an eligible node always exists
+                        let target = least_loaded(nodes, t).expect("base fleet is always eligible");
+                        place(&mut nodes[target], target, r, t, sink);
+                    }
+                    let n = &mut nodes[v];
+                    if n.scheduler.idle() {
+                        // An idle victim retires on the spot — unless a
+                        // gray StuckDrain window is wedging it, in which
+                        // case it bills until the window clears or the
+                        // force-retire deadline, whichever comes first.
+                        n.retired_at_s =
+                            Some(drain_retire_time(t.max(n.now), n.stuck_until_s, deadline_s));
+                    }
+                }
+            }
+        } else {
+            self.low_ticks = 0;
+        }
+    }
+
+    /// Rent fleet node `idx` at `t`: promote a warm standby if one is
+    /// left, else cold-start one through the real attested boot. Its
+    /// clock starts at the (horizon-clamped) ready time, and its trace
+    /// timeline is tiled from 0: idle until rented, out until ready.
+    fn rent(&mut self, idx: usize, t: f64, sink: &mut TraceSink) -> NodeState {
+        let cfg = self.cfg;
+        let horizon_s = cfg.serving.duration_s;
+        let mut plan = FaultPlan::seeded(
+            &cfg.rental.rates,
+            horizon_s,
+            cfg.rental.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-    }
-    (report, stats)
-}
-
-fn percentile_or_zero(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        0.0
-    } else {
-        sorted_percentile(sorted, p)
-    }
-}
-
-fn empty_report() -> AutoscaleReport {
-    AutoscaleReport {
-        arrivals: 0,
-        completed: 0,
-        aborted: 0,
-        shed: 0,
-        retries: 0,
-        storm_drops: 0,
-        spills: 0,
-        scale_ups: 0,
-        warm_promotions: 0,
-        cold_starts: 0,
-        scale_downs: 0,
-        cold_start_s: 0.0,
-        unseal_s: 0.0,
-        brownout_activations: 0,
-        tokens_trimmed: 0,
-        makespan_s: 0.0,
-        goodput_tps: 0.0,
-        delivered_tokens: 0,
-        ttft_p50_s: 0.0,
-        ttft_p99_s: 0.0,
-        ttft_p99_burst_s: 0.0,
-        tiers: [TierReport::default(); 3],
-        rental_cost_usd: 0.0,
-        warm_pool_cost_usd: 0.0,
-        base_cost_usd: 0.0,
-        total_cost_usd: 0.0,
-        usd_per_mtok: 0.0,
-        records: Vec::new(),
+        let warm = self.warm_available > 0;
+        let (ready_at_s, rented_at_s) = if warm {
+            self.warm_available -= 1;
+            self.ledger.warm_promotions += 1;
+            // A promoted standby was attested and unsealed before the
+            // horizon started; its carrying cost since t=0 is what
+            // bought the instant readiness.
+            (t, 0.0)
+        } else {
+            self.ledger.cold_starts += 1;
+            cold_start_secure_boot(crate::fleet::hs_seed(idx, 0) ^ cfg.rental.seed);
+            let unseal_s = cfg.rental.node.weight_unseal_time_s(&cfg.serving);
+            let ready = t + cfg.rental.attest_s + unseal_s;
+            // Horizon clamp: a scale-up in the last seconds cannot
+            // charge cold-start time past the end of the run.
+            let charged = (ready - t).min((horizon_s - t).max(0.0));
+            self.ledger.cold_start_s += charged;
+            self.ledger.unseal_s += unseal_s.min(charged);
+            (ready, t)
+        };
+        plan.events.retain(|e: &FaultEvent| e.at_s >= ready_at_s);
+        let mut n = NodeState::new(cfg.rental.node.clone(), &cfg.serving, cfg.breaker, plan);
+        n.now = ready_at_s.min(horizon_s.max(0.0));
+        n.downtime_s = (ready_at_s - rented_at_s).min((horizon_s - rented_at_s).max(0.0));
+        n.ready_at_s = ready_at_s;
+        n.rented_at_s = Some(rented_at_s);
+        let scope = node_scope(idx);
+        let boot = if warm { "warm-standby" } else { "cold-start" };
+        sink.span_labeled(scope, SpanKind::Idle, 0.0, rented_at_s, Some("unrented"));
+        sink.span_labeled(scope, SpanKind::Outage, rented_at_s, n.now, Some(boot));
+        sink.event_fmt(scope, "scale-up", t, || boot.to_string());
+        n
     }
 }
 
-/// A fresh [`NodeState`] on this config's scheduler limits.
-fn new_node_state(cfg: &AutoscaleConfig, node: ServingNode, plan: FaultPlan) -> NodeState {
-    NodeState {
-        kv_budget_bytes: node.kv_residency_budget_bytes(&cfg.serving),
-        node,
-        scheduler: ContinuousBatcher::configured(cfg.serving.limits, cfg.serving.kv),
-        breaker: CircuitBreaker::new(cfg.breaker),
-        plan,
-        next_event: 0,
-        now: 0.0,
-        downtime_s: 0.0,
-        handshake_seq: 0,
-        useful_tokens: 0,
-        completed: 0,
-        preemptions: 0,
-        swap_out_bytes: 0.0,
-        swap_in_bytes: 0.0,
-        derate_until_s: 0.0,
-        stuck_until_s: 0.0,
-    }
-}
-
-/// One controller evaluation at time `t`: scale up against backlog
-/// (warm promotion first, then cold rentals paying the real attested
-/// boot), scale down after sustained calm by draining the newest rental.
-#[allow(clippy::too_many_arguments, clippy::cast_precision_loss)]
-fn run_controller(
-    cfg: &AutoscaleConfig,
-    nodes: &mut Vec<FleetNode>,
-    t: f64,
-    horizon_s: f64,
-    warm_available: &mut usize,
-    scale_ups: &mut u64,
-    warm_promotions: &mut u64,
-    cold_starts: &mut u64,
-    scale_downs: &mut u64,
-    cold_start_s: &mut f64,
-    unseal_total_s: &mut f64,
-    low_ticks: &mut u32,
-    sink: &mut TraceSink,
-) {
-    let _ = sink;
-    let serving = nodes.iter().filter(|n| n.eligible(t)).count().max(1);
-    let queued: usize = nodes
+/// Requests queued across the live fleet.
+fn queued(nodes: &[NodeState]) -> usize {
+    nodes
         .iter()
-        .filter(|n| !n.retired)
-        .map(|n| n.st.scheduler.queued())
-        .sum();
-    let backlog_per_node = queued as f64 / serving as f64;
-    let rented_active = nodes
-        .iter()
-        .filter(|n| n.rented && !n.retired && !n.draining)
-        .count();
-
-    if backlog_per_node > cfg.controller.up_depth_per_node {
-        *low_ticks = 0;
-        for step in 0..cfg.controller.scale_up_step {
-            if rented_active + step >= cfg.controller.max_rented {
-                break;
-            }
-            let idx = nodes.len();
-            let mut plan = FaultPlan::seeded(
-                &cfg.rental.rates,
-                horizon_s,
-                cfg.rental.seed ^ (idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let (ready_at_s, rented_at_s) = if *warm_available > 0 {
-                *warm_available -= 1;
-                *warm_promotions += 1;
-                // A promoted standby was attested and unsealed before
-                // the horizon started; its carrying cost since t=0 is
-                // what bought the instant readiness.
-                (t, 0.0)
-            } else {
-                *cold_starts += 1;
-                cold_start_secure_boot(hs_seed(idx, 0) ^ cfg.rental.seed);
-                let unseal_s = cfg.rental.node.weight_unseal_time_s(&cfg.serving);
-                let ready = t + cfg.rental.attest_s + unseal_s;
-                // Horizon clamp: a scale-up in the last seconds cannot
-                // charge cold-start time past the end of the run.
-                let charged = (ready - t).min((horizon_s - t).max(0.0));
-                *cold_start_s += charged;
-                *unseal_total_s += unseal_s.min(charged);
-                (ready, t)
-            };
-            plan.events.retain(|e: &FaultEvent| e.at_s >= ready_at_s);
-            let mut st = new_node_state(cfg, cfg.rental.node.clone(), plan);
-            st.now = ready_at_s.min(horizon_s.max(0.0));
-            st.downtime_s = (ready_at_s - rented_at_s).min((horizon_s - rented_at_s).max(0.0));
-            nodes.push(FleetNode {
-                st,
-                ready_at_s,
-                rented_at_s,
-                rented: true,
-                draining: false,
-                drain_deadline_s: f64::INFINITY,
-                retired: false,
-                retired_at_s: 0.0,
-            });
-            *scale_ups += 1;
-        }
-        return;
-    }
-
-    if backlog_per_node <= cfg.controller.down_depth_per_node && rented_active > 0 {
-        *low_ticks += 1;
-        if *low_ticks >= cfg.controller.scale_down_ticks {
-            *low_ticks = 0;
-            *scale_downs += 1;
-            // Drain the newest active rental: stop routing to it, move
-            // its queued work to the survivors, give the running batch a
-            // horizon-clamped grace window.
-            let victim = nodes
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, n)| n.rented && !n.retired && !n.draining && n.ready_at_s <= t)
-                .map(|(i, _)| i);
-            if let Some(v) = victim {
-                nodes[v].draining = true;
-                nodes[v].drain_deadline_s = (t + cfg.controller.drain_window_s).min(horizon_s);
-                let moved = nodes[v].st.scheduler.shed(|_| true);
-                for r in moved {
-                    let all: Vec<(usize, usize)> = nodes
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, n)| *i != v && n.eligible(t))
-                        .map(|(i, n)| (i, n.st.depth()))
-                        .collect();
-                    // infallible: the base fleet never drains, so an eligible node always exists
-                    let target = route_least_loaded(&all).expect("base fleet is always eligible");
-                    place(&mut nodes[target].st, target, r, t, sink);
-                }
-                if nodes[v].st.scheduler.idle() {
-                    // An idle victim retires on the spot — unless a
-                    // gray StuckDrain window is wedging it, in which
-                    // case it bills until the window clears or the
-                    // force-retire deadline, whichever comes first.
-                    nodes[v].retired = true;
-                    nodes[v].retired_at_s = drain_retire_time(
-                        t.max(nodes[v].st.now),
-                        nodes[v].st.stuck_until_s,
-                        nodes[v].drain_deadline_s,
-                    );
-                }
-            }
-        }
-    } else {
-        *low_ticks = 0;
-    }
+        .filter(|n| !n.retired())
+        .map(|n| n.scheduler.queued())
+        .sum()
 }
 
 /// When a draining node goes idle at `now`, the time at which it can
@@ -1037,80 +696,6 @@ pub(crate) fn drain_retire_time(now: f64, stuck_until_s: f64, deadline_s: f64) -
     } else {
         stuck_until_s.min(deadline_s).max(now)
     }
-}
-
-/// Apply one fault event at a node's iteration boundary: mirrors the
-/// cluster semantics (horizon-clamped outages, real re-handshake on
-/// attestation failure) but routes crash victims through the retry
-/// budget + storm circuit instead of the bare per-node retry cap.
-#[allow(clippy::too_many_arguments)]
-fn apply_fault(
-    ev: &FaultEvent,
-    n: &mut NodeState,
-    node_idx: usize,
-    horizon_s: f64,
-    slab: &mut RequestSlab,
-    retry_queue: &mut EventQueue<ClusterRetry>,
-    guard: &mut RetryStormGuard,
-    retries: &mut u64,
-    aborted: &mut usize,
-    tiers_out: &mut [TierReport; 3],
-    tier_of: &[Tier],
-) {
-    if ev.kind.is_gray() {
-        // Gray failures are invisible to the breaker, charge no
-        // downtime, and lose no state: DegradedThroughput derates
-        // decode steps inside its window; StuckDrain wedges a
-        // scale-down so the drain only ends at the force-retire
-        // deadline (see `drain_retire_time`).
-        let window_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
-        match ev.kind {
-            FaultKind::DegradedThroughput => {
-                n.derate_until_s = n.derate_until_s.max(ev.at_s + window_s);
-            }
-            FaultKind::StuckDrain => {
-                n.stuck_until_s = n.stuck_until_s.max(ev.at_s + window_s);
-            }
-            _ => unreachable!("is_gray covers exactly the two gray kinds"),
-        }
-        return;
-    }
-    n.breaker.record_error(n.now);
-    if ev.kind == FaultKind::AttestationFailure {
-        n.handshake_seq += 1;
-        attested_rehandshake_phased(hs_seed(node_idx, n.handshake_seq), &mut |_| {})
-            // infallible: simulated attestation over an in-process channel cannot fail
-            .expect("re-handshake must recover the session");
-        let outage_s = n.plan.policy.reattest_s.min((horizon_s - ev.at_s).max(0.0));
-        n.now += outage_s;
-        n.downtime_s += outage_s;
-        return;
-    }
-    let outage_s = ev.outage_s.min((horizon_s - ev.at_s).max(0.0));
-    if ev.kind.loses_state() {
-        let origin_gpu = n.is_gpu();
-        for victim in n.scheduler.drain_running() {
-            let id = victim.request.id;
-            let a = slab.bump_attempts(id);
-            if guard.admit_retry(n.now, a - 1) {
-                *retries += 1;
-                retry_queue.push_keyed(
-                    ev.at_s + outage_s + n.plan.policy.backoff_s(a),
-                    id,
-                    ClusterRetry {
-                        request: victim.request,
-                        origin: node_idx,
-                        origin_gpu,
-                    },
-                );
-            } else {
-                *aborted += 1;
-                tiers_out[tier_of[usize::try_from(id).expect("dense id")].index()].aborted += 1;
-            }
-        }
-    }
-    n.now += outage_s;
-    n.downtime_s += outage_s;
 }
 
 #[cfg(test)]
@@ -1280,23 +865,15 @@ mod tests {
         let horizon_s = cfg.serving.duration_s;
         let boot_s = cfg.rental.attest_s + cfg.rental.node.weight_unseal_time_s(&cfg.serving);
         assert!(boot_s > 0.3, "fixture needs a boot longer than the window");
-        let mut nodes = vec![FleetNode {
-            st: new_node_state(
-                &cfg,
-                tdx_serving_node(),
-                FaultPlan::seeded(&FaultRates::none(), horizon_s, 1),
-            ),
-            ready_at_s: 0.0,
-            rented_at_s: 0.0,
-            rented: false,
-            draining: false,
-            drain_deadline_s: f64::INFINITY,
-            retired: false,
-            retired_at_s: 0.0,
-        }];
+        let mut nodes = vec![NodeState::new(
+            tdx_serving_node(),
+            &cfg.serving,
+            cfg.breaker,
+            FaultPlan::seeded(&FaultRates::none(), horizon_s, 1),
+        )];
         let t = horizon_s - 0.5;
         for id in 0..32 {
-            nodes[0].st.scheduler.enqueue_at(
+            nodes[0].scheduler.enqueue_at(
                 Request {
                     id,
                     arrival_s: t,
@@ -1306,25 +883,9 @@ mod tests {
                 t,
             );
         }
-        let (mut warm, mut ups, mut promos, mut colds, mut downs) =
-            (0usize, 0u64, 0u64, 0u64, 0u64);
-        let (mut cold_s, mut unseal_s, mut low) = (0.0f64, 0.0f64, 0u32);
-        let mut sink = TraceSink::disabled();
-        run_controller(
-            &cfg,
-            &mut nodes,
-            t,
-            horizon_s,
-            &mut warm,
-            &mut ups,
-            &mut promos,
-            &mut colds,
-            &mut downs,
-            &mut cold_s,
-            &mut unseal_s,
-            &mut low,
-            &mut sink,
-        );
+        let mut scaler = Scaler::new(&cfg);
+        scaler.tick(&mut nodes, t, &mut TraceSink::disabled());
+        let (colds, cold_s) = (scaler.ledger.cold_starts, scaler.ledger.cold_start_s);
         assert_eq!(colds, 1);
         assert!(
             cold_s <= 0.5 + 1e-12,
@@ -1341,10 +902,10 @@ mod tests {
             "this boot cannot finish in time"
         );
         assert!(
-            rented.st.now <= horizon_s + 1e-12,
+            rented.now <= horizon_s + 1e-12,
             "a never-ready node's clock must park at the horizon"
         );
-        assert!(rented.st.downtime_s <= 0.5 + 1e-12);
+        assert!(rented.downtime_s <= 0.5 + 1e-12);
     }
 
     #[test]
@@ -1355,24 +916,20 @@ mod tests {
         cfg.controller.scale_down_ticks = 1;
         cfg.controller.drain_window_s = 1.0e9;
         let horizon_s = cfg.serving.duration_s;
-        let mk = |rented: bool| FleetNode {
-            st: new_node_state(
-                &cfg,
+        let mk = |rented: bool| {
+            let mut n = NodeState::new(
                 tdx_serving_node(),
+                &cfg.serving,
+                cfg.breaker,
                 FaultPlan::seeded(&FaultRates::none(), horizon_s, 1),
-            ),
-            ready_at_s: 0.0,
-            rented_at_s: 0.0,
-            rented,
-            draining: false,
-            drain_deadline_s: f64::INFINITY,
-            retired: false,
-            retired_at_s: 0.0,
+            );
+            n.rented_at_s = rented.then_some(0.0);
+            n
         };
         let mut nodes = vec![mk(false), mk(true)];
         // Keep the rental busy so it drains instead of retiring on the
         // spot (the deadline only exists for in-flight work).
-        nodes[1].st.scheduler.enqueue_at(
+        nodes[1].scheduler.enqueue_at(
             Request {
                 id: 0,
                 arrival_s: 0.0,
@@ -1382,36 +939,19 @@ mod tests {
             0.0,
         );
         let _ = nodes[1]
-            .st
             .scheduler
             .admit_any(&cfg.serving.model, cfg.serving.dtype, 0.0);
         let t = horizon_s - 2.0;
-        let (mut warm, mut ups, mut promos, mut colds, mut downs) =
-            (0usize, 0u64, 0u64, 0u64, 0u64);
-        let (mut cold_s, mut unseal_s, mut low) = (0.0f64, 0.0f64, 0u32);
-        let mut sink = TraceSink::disabled();
-        run_controller(
-            &cfg,
-            &mut nodes,
-            t,
-            horizon_s,
-            &mut warm,
-            &mut ups,
-            &mut promos,
-            &mut colds,
-            &mut downs,
-            &mut cold_s,
-            &mut unseal_s,
-            &mut low,
-            &mut sink,
+        let mut scaler = Scaler::new(&cfg);
+        scaler.tick(&mut nodes, t, &mut TraceSink::disabled());
+        assert_eq!(
+            scaler.ledger.scale_downs, 1,
+            "one calm tick at scale_down_ticks=1 must drain"
         );
-        assert_eq!(downs, 1, "one calm tick at scale_down_ticks=1 must drain");
-        assert!(nodes[1].draining);
+        let deadline_s = nodes[1].drain_deadline_s.expect("the rental drains");
         assert!(
-            nodes[1].drain_deadline_s <= horizon_s + 1e-12,
-            "regression: drain deadline {} leaked past the horizon {}",
-            nodes[1].drain_deadline_s,
-            horizon_s
+            deadline_s <= horizon_s + 1e-12,
+            "regression: drain deadline {deadline_s} leaked past the horizon {horizon_s}"
         );
     }
 

@@ -581,6 +581,17 @@ pub fn describe(violations: &[InvariantViolation]) -> String {
         .join("; ")
 }
 
+/// Debug builds assert every report a simulator builds: `path` names it
+/// in the panic message.
+#[cfg(debug_assertions)]
+pub(crate) fn debug_assert_clean(path: &str, violations: &[InvariantViolation]) {
+    debug_assert!(
+        violations.is_empty(),
+        "{path} invariants violated: {}",
+        describe(violations)
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,8 +1,6 @@
-//! The discrete-event simulation kernel shared by both serving loops.
-//!
-//! [`sim`](crate::sim) (single node) and [`cluster`](crate::cluster)
-//! (fleet) used to be two hand-rolled event loops, each with its own
-//! ad-hoc retry bookkeeping. They now drive the same three primitives:
+//! The discrete-event primitives every serving driver runs on — the
+//! single-node loop in [`sim`](crate::sim) and the fleet loop in
+//! [`fleet`](crate::fleet):
 //!
 //! * [`EventQueue`] — a binary-heap future-event list with a
 //!   deterministic `(time, key, seq)` total order. Dynamically scheduled

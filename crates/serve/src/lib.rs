@@ -3,62 +3,53 @@
 //! The paper reports *offline* throughput and latency; production
 //! deployments care about *online*, user-perceived service levels under
 //! load — the 200 ms/word reading-speed standard the paper cites is a
-//! per-user bound. This crate closes that gap with a continuous-batching
-//! serving simulator in the style of vLLM/DeepSpeed-Inference schedulers:
+//! per-user bound — and about what a TEE pays beyond steady state:
+//! attestation, weight unseal and recovery. This crate prices both with
+//! a continuous-batching serving simulator in the style of
+//! vLLM/DeepSpeed-Inference schedulers.
 //!
-//! * [`kernel`] — the discrete-event core shared by the single-node and
-//!   cluster loops: a binary-heap event queue with deterministic
-//!   `(time, key, seq)` tie-breaking, slab-allocated per-request state
-//!   (dense indices, not hash lookups, on the hot path), and event
-//!   counters that make throughput measurable.
-//! * [`workload::ArrivalProcess`] — deterministic-seeded Poisson request
-//!   arrivals with configurable prompt/output length distributions.
-//! * [`scheduler::ContinuousBatcher`] — iteration-level scheduling:
-//!   requests join the running batch between decode steps, bounded by a
-//!   batch cap and a KV-memory budget. Three KV disciplines
-//!   ([`scheduler::KvPolicy`]): conservative full-extent reservation
-//!   (default), and two vLLM-style paged policies over a
-//!   `cllm_workload::kv::PagePool` — admit on prompt pages, grow
-//!   page-by-page, and under pressure preempt tail-first, either
-//!   dropping the victim's pages (recompute) or swapping them through
-//!   the platform's priced paging path (swap).
-//! * [`sim`] — the event loop: prefill admission, per-step decode timing
-//!   from the calibrated `cllm-perf` roofline (so every TEE mechanism —
-//!   memory encryption, hugepage fallback, TD transitions — shapes the
-//!   tail), and per-request records.
-//! * [`slo`] — time-to-first-token / time-per-output-token percentiles
-//!   and SLO attainment, comparable across bare metal, TDX, SGX and
-//!   cGPUs.
-//! * [`faults`] — deterministic, seeded injection of TEE-specific
-//!   failures (attestation failures, enclave crashes, AEX/TD-exit
-//!   storms, EPC-paging and bounce-buffer stalls, spot preemptions);
-//!   the event loop recovers with bounded retry, exponential backoff
-//!   and re-attestation tolls.
-//! * [`invariants`] — the unified invariant registry: one typed
-//!   definition of every correctness invariant (conservation, billing
-//!   identity, pool conservation, time attribution, retry budgets,
-//!   breaker accounting, finiteness), shared by the simulators' debug
-//!   asserts, the property tests, the CLI, and the `cllm-chaos` search
-//!   engine.
-//! * [`router`] — cluster admission control (queue caps, deadlines, a
-//!   `Rejected` terminal state) and per-node circuit breakers whose
-//!   close pays a real attested re-handshake.
-//! * [`cluster`] — the multi-node simulation: heterogeneous fleets
-//!   behind a failover router surviving correlated preemption waves,
+//! # One node step, one fault path, one fleet loop
+//!
+//! * [`fleet`] — the per-node iteration every driver runs: admit →
+//!   re-attest, requant and prefill, or swap-in → page-pressure prep →
+//!   one decode step priced by the calibrated `cllm-perf` roofline (so
+//!   every TEE mechanism — memory encryption, hugepage fallback, TD
+//!   transitions, EPC paging — shapes the tail) → completions and
+//!   breaker close. Beside it sit the one fault path (horizon-clamped
+//!   outages; crash victims re-queue through one retry guard) and the
+//!   one fleet loop that advances node-local clocks behind a
+//!   least-loaded router.
+//! * [`sim`] — a single node. It keeps its own outer loop, whose event
+//!   order the goldens pin, around the shared node step and fault path.
+//! * [`cluster`] — a fixed fleet: heterogeneous nodes, all ready at t=0,
+//!   behind the failover router, surviving correlated preemption waves,
 //!   with cross-platform spills priced via `cllm-cost`.
-//! * [`autoscale`] — a deterministic reactive autoscaler over the same
-//!   kernel: flash-crowd traffic from `cllm_workload::trace`, scale-ups
-//!   that pay the real attested handshake plus weight-unseal before
-//!   joining routing (optionally skipped by a pre-attested warm pool at
-//!   carrying cost), graceful scale-down drains, tiered shedding, retry
-//!   budgets with a global storm circuit, and brownout degradation.
+//! * [`autoscale`] — the same fleet loop plus a controller: flash-crowd
+//!   traffic from `cllm_workload::trace`, scale-ups that pay the real
+//!   attested handshake plus weight unseal before joining routing (or a
+//!   pre-attested warm pool at carrying cost), graceful drains, tiered
+//!   shedding, brownout, and a retry budget with a storm circuit.
 //!
-//! Both event loops are instrumented with `cllm-obs` span tracing as a
-//! pure observer of the simulated clock: `sim::simulate_serving_traced`
-//! and `cluster::simulate_cluster_traced` return the same report as
-//! their untraced twins plus a [`cllm_obs::Trace`] whose per-node spans
-//! tile the makespan (`busy + idle + outage`) and whose per-request
-//! chains sum to each end-to-end latency.
+//! # Building blocks
+//!
+//! * [`kernel`] — the deterministic event queue, the per-request slab
+//!   and the event counters behind the events/sec benchmarks.
+//! * [`workload`] — seeded Poisson arrivals.
+//! * [`scheduler`] — continuous batching under a batch cap and a KV
+//!   budget, with conservative or paged KV ([`scheduler::KvPolicy`]).
+//! * [`faults`] — seeded TEE-specific failures and recovery policy.
+//! * [`router`] — admission bounds, circuit breakers whose close pays a
+//!   real attested re-handshake, tiered admission, retry budgets and
+//!   brownout.
+//! * [`slo`] — TTFT/TPOT percentiles and SLO attainment.
+//! * [`invariants`] — one registry of every correctness invariant,
+//!   shared by debug asserts, property tests, the CLI and `cllm-chaos`.
+//!
+//! Every driver has a traced twin (`simulate_serving_traced`,
+//! `simulate_cluster_traced`, `simulate_autoscale_traced`) that returns
+//! the same report plus a [`cllm_obs::Trace`]: per-node spans tile the
+//! makespan (`busy + idle + outage`) and per-request chains sum to each
+//! end-to-end latency. Tracing only reads the simulated clock.
 //!
 //! # Example
 //!
@@ -78,6 +69,7 @@
 pub mod autoscale;
 pub mod cluster;
 pub mod faults;
+pub mod fleet;
 pub mod invariants;
 pub mod kernel;
 #[doc(hidden)]

@@ -346,6 +346,9 @@ impl RetryStormGuard {
         if attempts >= self.cfg.per_request {
             return false;
         }
+        if self.cfg.storm_max_retries == usize::MAX {
+            return true; // no circuit: nothing to remember
+        }
         while self
             .recent_s
             .front()

@@ -110,11 +110,10 @@ impl ServingReport {
 
 /// Percentile by linear interpolation over an unsorted sample.
 ///
-/// Edge cases are explicit: an empty sample returns `NaN` (callers that
-/// need a finite placeholder must substitute it themselves — the serving
-/// simulator reports `0.0` for empty reports), a single-element sample
-/// returns that element for every `q`, and finite inputs always produce
-/// a finite interpolated value.
+/// Edge cases are explicit: an empty sample returns `NaN` (report
+/// builders that need a finite placeholder use [`percentile_or_zero`]),
+/// a single-element sample returns that element for every `q`, and
+/// finite inputs always produce a finite interpolated value.
 ///
 /// # Panics
 ///
@@ -122,29 +121,57 @@ impl ServingReport {
 /// construction).
 #[must_use]
 pub fn percentile_of(samples: &[f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return f64::NAN;
-    }
-    let mut sorted = samples.to_vec();
-    // infallible: latencies are differences of finite sim clocks
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    sorted_percentile(&sorted, q)
+    cllm_perf::stats::percentile(&sorted(samples.to_vec()), q)
 }
 
-/// Percentile over an **already ascending-sorted** sample.
+/// `samples` sorted ascending, for [`percentile_or_zero`].
 ///
-/// Report builders that take several percentiles of the same vector sort
-/// once and call this per quantile, instead of paying [`percentile_of`]'s
-/// clone-and-sort on every call. Same contract: `NaN` on empty, the sole
-/// element for singletons, linear interpolation otherwise — so for any
-/// sorted `v`, `sorted_percentile(&v, q) == percentile_of(&v, q)` bit for
-/// bit.
+/// # Panics
+///
+/// Panics if any sample is `NaN` (latencies are never NaN by
+/// construction).
 #[must_use]
-pub fn sorted_percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
+pub fn sorted(mut samples: Vec<f64>) -> Vec<f64> {
+    // infallible: latencies are differences of finite sim clocks
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    samples
+}
+
+/// Fraction of `makespan_s` a node spent up: `1 - downtime / makespan`,
+/// clamped to `[0, 1]`; `1.0` for an empty run.
+#[must_use]
+pub fn availability(downtime_s: f64, makespan_s: f64) -> f64 {
+    if makespan_s > 0.0 {
+        (1.0 - downtime_s / makespan_s).clamp(0.0, 1.0)
+    } else {
+        1.0
     }
-    cllm_perf::stats::percentile(sorted, q)
+}
+
+/// Delivered tokens per second over the makespan; `0.0` when nothing
+/// completed.
+#[must_use]
+#[allow(clippy::cast_precision_loss)]
+pub fn goodput_tps(tokens: u64, completed: usize, makespan_s: f64) -> f64 {
+    if completed == 0 {
+        0.0
+    } else {
+        tokens as f64 / makespan_s.max(1e-9)
+    }
+}
+
+/// Percentile over an **already ascending-sorted** sample, `0.0` when
+/// it is empty: the placeholder every serving report publishes for a
+/// run with nothing to measure. Report builders sort each latency
+/// vector once and call this per quantile; for any non-empty sorted `v`
+/// it equals [`percentile_of`] bit for bit.
+#[must_use]
+pub fn percentile_or_zero(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        0.0
+    } else {
+        cllm_perf::stats::percentile(sorted, q)
+    }
 }
 
 #[cfg(test)]
@@ -209,16 +236,16 @@ mod tests {
     }
 
     #[test]
-    fn sorted_percentile_matches_percentile_of_bit_for_bit() {
+    fn percentile_or_zero_matches_percentile_of_bit_for_bit() {
         let unsorted = [3.0, 1.0, 7.5, 2.0, 2.0, 9.0, 0.25];
         let mut sorted = unsorted.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
         for q in [0.0, 0.05, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
             let a = percentile_of(&unsorted, q);
-            let b = sorted_percentile(&sorted, q);
+            let b = percentile_or_zero(&sorted, q);
             assert_eq!(a.to_bits(), b.to_bits(), "q={q}: {a} vs {b}");
         }
-        assert!(sorted_percentile(&[], 0.5).is_nan());
+        assert_eq!(percentile_or_zero(&[], 0.5).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! report across runner-thread settings.
 
 use cllm_cost::SpillPenalty;
-use cllm_serve::autoscale::{simulate_autoscale, AutoscaleConfig, ControllerConfig, RentalSpec};
+use cllm_serve::autoscale::{
+    simulate_autoscale, simulate_autoscale_traced, AutoscaleConfig, ControllerConfig, RentalSpec,
+};
 use cllm_serve::cluster::NodeSpec;
 use cllm_serve::faults::FaultRates;
 use cllm_serve::router::{BreakerConfig, BrownoutConfig, RetryBudget, TieredAdmission};
@@ -158,6 +160,37 @@ proptest! {
         for rec in &r.records {
             prop_assert!(rec.ttft_s > 0.0 && rec.e2e_s >= rec.ttft_s, "id {}", rec.id);
         }
+    }
+
+    /// Tracing is a pure observer: over the same random crowds, the
+    /// traced twin returns a report equal to the untraced run, and its
+    /// trace conserves time — every node (rentals included) tiles the
+    /// makespan, every request chain sums to its end-to-end latency.
+    #[test]
+    fn autoscale_traced_equals_untraced_and_conserves(
+        rate in 0.5f64..4.0,
+        multiplier in 1.0f64..12.0,
+        bursts_per_hr in 0.0f64..400.0,
+        amplitude in 0.0f64..0.5,
+        free_w in 0.1f64..1.0,
+        standard_w in 0.1f64..1.0,
+        premium_w in 0.05f64..0.5,
+        traffic_seed in 0u64..40,
+        crashes_per_hr in 0.0f64..600.0,
+        warm_pool in 0usize..3,
+        max_rented in 0usize..4,
+        brownout_bit in 0u32..2,
+    ) {
+        let cfg = build_cfg(
+            rate, multiplier, bursts_per_hr, amplitude,
+            (free_w, standard_w, premium_w), traffic_seed,
+            crashes_per_hr, warm_pool, max_rented, brownout_bit == 1,
+            RetryBudget::default(),
+        );
+        let (traced, trace) = simulate_autoscale_traced(&cfg);
+        prop_assert_eq!(&traced, &simulate_autoscale(&cfg));
+        let conservation = cllm_obs::check(&trace, 1e-6);
+        prop_assert!(conservation.ok(), "{:?}", conservation.errors);
     }
 
     /// Retry-budget liveness: whatever the budget, the run terminates

@@ -173,7 +173,7 @@ fn print_usage() {
          \x20                                   (load in chrome://tracing or Perfetto)\n\
          \x20                                   and checks time-conservation invariants\n\n\
          platforms: bare, vm, tdx, sgx, sev-snp, gpu, cgpu\n\
-         traceable experiments: serving, resilience, cluster_resilience, time_attribution"
+         traceable experiments: serving, resilience, cluster_resilience, time_attribution, flash_crowd"
     );
 }
 
