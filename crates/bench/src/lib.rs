@@ -1,32 +1,14 @@
-//! Benchmark-harness support: shared runner for the per-figure binaries.
+//! Benchmark-harness support: where experiment results are persisted.
 //!
-//! Each `figN` binary regenerates one table/figure of the paper: it runs
-//! the corresponding `cllm-core` experiment (through the parallel runner
-//! machinery — heavy grids fan out over `cllm_core::runner::par_map`),
-//! prints the aligned table the paper's plot encodes, and writes
-//! machine-readable JSON into the results directory.
+//! `all_figures` regenerates every table/figure of the paper through the
+//! parallel runner and writes each result's machine-readable JSON into
+//! [`results_dir`]; `cllm figures NAME` runs a single experiment.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use cllm_core::experiments::ExperimentResult;
-use cllm_core::runner;
 use std::path::PathBuf;
-
-/// Run one experiment by id, print its table, and persist JSON under
-/// [`results_dir`]. Exits the process with an error message if the id
-/// is unknown.
-pub fn run_and_emit(id: &str) -> ExperimentResult {
-    let Some(result) = runner::run_one(id) else {
-        eprintln!("unknown experiment id: {id}");
-        std::process::exit(2);
-    };
-    println!("{}", result.render());
-    if let Err(e) = persist(&result) {
-        eprintln!("warning: could not write results JSON: {e}");
-    }
-    result
-}
 
 /// Write one result's JSON to `<results_dir>/<id>.json`, reporting the
 /// chosen path on stdout.
