@@ -27,6 +27,12 @@ fn bench_gcm(c: &mut Criterion) {
     c.bench_function("aes_gcm_open_4KiB", |b| {
         b.iter(|| gcm.decrypt(black_box(&iv), black_box(&ct), b"aad", &tag))
     });
+    // Bulk unseal: the weight-release path, past every batching boundary.
+    let big = vec![0x42u8; 1 << 20];
+    let (big_ct, big_tag) = gcm.encrypt(&iv, &big, b"aad");
+    c.bench_function("aes_gcm_open_1MiB", |b| {
+        b.iter(|| gcm.decrypt(black_box(&iv), black_box(&big_ct), b"aad", &big_tag))
+    });
 }
 
 fn bench_ctr_and_device(c: &mut Criterion) {

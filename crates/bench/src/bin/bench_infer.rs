@@ -1,10 +1,12 @@
-//! Wall-clock tokens/sec bench for the real `cllm-infer` engine.
+//! Wall-clock bench for the real `cllm-infer` engine: tokens/sec per
+//! kernel, and MB/s of the weight unseal that precedes them.
 //!
 //! Times prefill (one chunked forward over a prompt) and decode (the
 //! sequential token loop) on a weight-bound model shape across the
 //! engine's kernel variants — scalar reference (`naive`), tiled f32,
 //! group-wise int8, packed int4 — plus speculative decoding with an
-//! int8-quantized draft. Three modes:
+//! int8-quantized draft, and the weight unseal that precedes them all:
+//! `aead_open` of the model's sealed bytes, in MB/s. Three modes:
 //!
 //! * default / `--out <path>` — run the **full** shape (~20M params,
 //!   80 MB of f32 weights, large enough that decode streams from
@@ -15,19 +17,21 @@
 //!   speedup ratios are checked against the measured-vs-modeled bands
 //!   in `cllm_perf::calib::measured` and against the hard acceptance
 //!   bars (tiled >= 2x naive, int8 >= 1.5x tiled).
-//! * `--smoke` — run the reduced **smoke** shape and print tokens/sec
+//! * `--smoke` — run the reduced **smoke** shape and print its rates
 //!   without touching the pins. Fast enough for CI.
 //! * `--check <path>` — validate the `BENCH_infer.json` schema and
 //!   calibration bands at `path`, run the smoke shape, and exit
-//!   non-zero if any measured tokens/sec falls more than 30% below its
-//!   pinned floor (the smoke shape is smaller, hence never slower, so
+//!   non-zero if any measured rate falls more than 30% below its pinned
+//!   floor (the smoke shape is smaller, hence never slower, so
 //!   full-shape floors are a valid lower bar).
 //!
 //! Only this binary ever records wall time; the golden tables stay
 //! machine-independent.
 
+use cllm_crypto::{aead_open, aead_seal};
 use cllm_infer::kernels::argmax;
 use cllm_infer::model::{TinyConfig, TinyModel};
+use cllm_infer::serialize::model_to_bytes;
 use cllm_infer::speculative::speculative_generate;
 use cllm_perf::calib::measured::{CalibrationReport, MeasuredRatios};
 use serde_json::{Number, Value};
@@ -37,7 +41,7 @@ use std::time::Instant;
 
 /// Schema fields every `BENCH_infer.json` must carry, with their JSON
 /// type class (`true` = number, `false` = string).
-const SCHEMA: [(&str, bool); 30] = [
+const SCHEMA: [(&str, bool); 32] = [
     ("schema_version", true),
     ("model", false),
     ("hidden", true),
@@ -57,6 +61,7 @@ const SCHEMA: [(&str, bool); 30] = [
     ("int4_decode_tps", true),
     ("spec_decode_tps", true),
     ("spec_acceptance", true),
+    ("aead_open_mb_per_s", true),
     ("ratio_tiled_over_naive_decode", true),
     ("ratio_int8_over_tiled_decode", true),
     ("ratio_int4_over_int8_decode", true),
@@ -68,16 +73,18 @@ const SCHEMA: [(&str, bool); 30] = [
     ("floor_int8_decode_tps", true),
     ("floor_int4_decode_tps", true),
     ("floor_spec_decode_tps", true),
+    ("floor_aead_open_mb_per_s", true),
 ];
 
-/// The six (rate, floor) pairs `--check` guards.
-const FLOORED: [(&str, &str); 6] = [
+/// The seven (rate, floor) pairs `--check` guards.
+const FLOORED: [(&str, &str); 7] = [
     ("naive_decode_tps", "floor_naive_decode_tps"),
     ("tiled_prefill_tps", "floor_tiled_prefill_tps"),
     ("tiled_decode_tps", "floor_tiled_decode_tps"),
     ("int8_decode_tps", "floor_int8_decode_tps"),
     ("int4_decode_tps", "floor_int4_decode_tps"),
     ("spec_decode_tps", "floor_spec_decode_tps"),
+    ("aead_open_mb_per_s", "floor_aead_open_mb_per_s"),
 ];
 
 fn int(v: u64) -> Value {
@@ -235,6 +242,23 @@ fn spec_tps(target: &TinyModel, draft: &TinyModel) -> (f64, f64) {
     }
 }
 
+/// MB/s of `aead_open` over the model's sealed serialized weights —
+/// the unseal a confidential deployment pays before its first token.
+fn aead_open_mb_per_s(model: &TinyModel) -> f64 {
+    const KEY: [u8; 16] = [0x5E; 16];
+    const AAD: &[u8] = b"cllm-model-v1";
+    let bytes = model_to_bytes(model).expect("f32 model serializes");
+    let sealed = aead_seal(&KEY, b"bench_infer", &bytes, AAD);
+    let t0 = Instant::now();
+    let opened = aead_open(&KEY, b"bench_infer", &sealed, AAD);
+    let wall = t0.elapsed().as_secs_f64().max(1e-9);
+    assert_eq!(opened.as_deref(), Ok(&bytes[..]), "sealed model must open");
+    #[allow(clippy::cast_precision_loss)]
+    {
+        sealed.len() as f64 / 1e6 / wall
+    }
+}
+
 /// All timed rates for one scale.
 struct Rates {
     naive_prefill: f64,
@@ -247,6 +271,7 @@ struct Rates {
     int4_decode: f64,
     spec_decode: f64,
     spec_acceptance: f64,
+    aead_open: f64,
 }
 
 /// Run every variant at `scale`. The same seeded weights back every
@@ -268,6 +293,7 @@ fn measure(scale: Scale) -> (TinyConfig, usize, Rates) {
         int4_decode: decode_tps(&int4),
         spec_decode: 0.0,
         spec_acceptance: 0.0,
+        aead_open: aead_open_mb_per_s(&tiled),
     };
     let (spec, acceptance) = spec_tps(&tiled, &int8);
     let rates = Rates {
@@ -312,6 +338,7 @@ fn document(scale: Scale, config: &TinyConfig, params: usize, r: &Rates) -> Valu
         ("int4_decode_tps".into(), float(r.int4_decode)),
         ("spec_decode_tps".into(), float(r.spec_decode)),
         ("spec_acceptance".into(), float(r.spec_acceptance)),
+        ("aead_open_mb_per_s".into(), float(r.aead_open)),
         (
             "ratio_tiled_over_naive_decode".into(),
             float(q.tiled_over_naive),
@@ -338,6 +365,7 @@ fn document(scale: Scale, config: &TinyConfig, params: usize, r: &Rates) -> Valu
         ("floor_int8_decode_tps".into(), float(0.0)),
         ("floor_int4_decode_tps".into(), float(0.0)),
         ("floor_spec_decode_tps".into(), float(0.0)),
+        ("floor_aead_open_mb_per_s".into(), float(0.0)),
     ])
 }
 
@@ -467,6 +495,7 @@ fn print_rates(scale: Scale, r: &Rates) {
         q.int4_over_int8,
         q.spec_over_tiled,
     );
+    println!("{}: aead_open {:.1} MB/s", scale.label(), r.aead_open);
 }
 
 fn run_full(out: &Path) -> ExitCode {
@@ -529,22 +558,39 @@ fn run_check(path: &Path) -> ExitCode {
         ("int8 decode", rates.int8_decode, "floor_int8_decode_tps"),
         ("int4 decode", rates.int4_decode, "floor_int4_decode_tps"),
         ("spec decode", rates.spec_decode, "floor_spec_decode_tps"),
+        ("aead open", rates.aead_open, "floor_aead_open_mb_per_s"),
     ] {
+        let unit = if floor_key.ends_with("_tps") {
+            "tok/s"
+        } else {
+            "MB/s"
+        };
         let floor = field_f64(&doc, floor_key);
         let bar = floor * 0.7;
         if rate < bar {
             eprintln!(
-                "check failed: {label} tokens/sec {rate:.0} regressed >30% below pinned floor {floor:.0} (bar {bar:.0})"
+                "check failed: {label} {rate:.0} {unit} regressed >30% below pinned floor {floor:.0} (bar {bar:.0})"
             );
             return ExitCode::FAILURE;
         }
-        println!("check ok: {label} {rate:.0} tok/s >= 0.7 x floor {floor:.0}");
+        println!("check ok: {label} {rate:.0} {unit} >= 0.7 x floor {floor:.0}");
     }
     ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // `--check` always measures the smoke shape, so `--smoke --check
+    // <path>` (the form CI and the docs use) is a check too.
+    if let Some(i) = args.iter().position(|a| a == "--check") {
+        return match args.get(i + 1) {
+            Some(p) => run_check(Path::new(p)),
+            None => {
+                eprintln!("--check requires a path to BENCH_infer.json");
+                ExitCode::FAILURE
+            }
+        };
+    }
     match args.first().map(String::as_str) {
         None => run_full(&default_out()),
         Some("--out") => {
@@ -552,13 +598,6 @@ fn main() -> ExitCode {
             run_full(&path)
         }
         Some("--smoke") => run_smoke().1,
-        Some("--check") => match args.get(1) {
-            Some(p) => run_check(Path::new(p)),
-            None => {
-                eprintln!("--check requires a path to BENCH_infer.json");
-                ExitCode::FAILURE
-            }
-        },
         Some(other) => {
             eprintln!("unknown argument `{other}`; use --smoke, --check <path>, or --out <path>");
             ExitCode::FAILURE
@@ -582,6 +621,7 @@ mod tests {
             int4_decode: 300.0,
             spec_decode: 100.0,
             spec_acceptance: 0.85,
+            aead_open: 150.0,
         };
         let mut doc = document(Scale::Full, &Scale::Full.config(), 20_000_000, &rates);
         for (rate_key, floor_key) in FLOORED {
@@ -688,6 +728,7 @@ mod tests {
             r.int4_prefill,
             r.int4_decode,
             r.spec_decode,
+            r.aead_open,
         ] {
             assert!(rate > 0.0, "all rates positive");
         }

@@ -15,15 +15,25 @@
 //!   protected files and attestation-channel payloads).
 //!
 //! All primitives are validated against published test vectors (FIPS-197,
-//! NIST GCM, RFC 4231) plus property tests for round-trips and tampering
-//! detection.
+//! NIST SP 800-38A, the GCM specification, RFC 4231) plus property tests
+//! for round-trips, tampering detection, and byte-for-byte equivalence
+//! of AES-CTR/GCM with the earlier table-driven cipher kept as a
+//! test-only oracle.
 //!
 //! # Security note
 //!
-//! These implementations favour clarity over side-channel hardening (no
-//! constant-time table lookups); they are faithful functional stand-ins
-//! for the hardware crypto engines of real TEEs, which is what the
-//! reproduction requires — not production cryptography.
+//! AES and GHASH are constant-time, in safe Rust, after BearSSL's
+//! designs: AES is bitsliced (`aes_ct64`: the Boyar–Peralta S-box
+//! circuit on 64-bit words, a bitsliced key schedule) and GHASH is a
+//! Karatsuba carry-less multiply built from masked integer multiplies
+//! (`ghash_ctmul64`). Neither indexes memory or branches on key or data,
+//! so they carry none of the cache-timing leak that table-driven AES
+//! hands a co-resident attacker (the SGX side channel `cllm_tee::threat`
+//! models); their timing assumes integer multiplies are constant-time,
+//! as on current 64-bit CPUs. The crate is still a reproduction
+//! substrate, not audited production cryptography: it stands in for the
+//! hardware crypto engines of real TEEs, and SHA-256, HMAC and the DH
+//! group are written for clarity.
 //!
 //! # Example
 //!
@@ -67,11 +77,7 @@ impl std::error::Error for AuthError {}
 /// is the convenience entry point used by the sealed-storage layer.
 #[must_use]
 pub fn aead_seal(key: &[u8; 16], nonce: &[u8], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
-    let iv = derive_iv(nonce);
-    let gcm = Gcm::new(key);
-    let (mut ct, tag) = gcm.encrypt(&iv, plaintext, aad);
-    ct.extend_from_slice(&tag);
-    ct
+    Aead::new(key).seal(nonce, plaintext, aad)
 }
 
 /// Open a blob produced by [`aead_seal`]. Returns [`AuthError`] if the tag
@@ -82,14 +88,43 @@ pub fn aead_open(
     sealed: &[u8],
     aad: &[u8],
 ) -> Result<Vec<u8>, AuthError> {
-    if sealed.len() < 16 {
-        return Err(AuthError);
+    Aead::new(key).open(nonce, sealed, aad)
+}
+
+/// [`aead_seal`] and [`aead_open`] under one key, expanded once: for a
+/// channel that seals many short records, where the AES key schedule and
+/// GHASH key would otherwise be recomputed per record.
+#[derive(Debug, Clone)]
+pub struct Aead {
+    gcm: Gcm,
+}
+
+impl Aead {
+    /// Expand `key` for sealing and opening.
+    #[must_use]
+    pub fn new(key: &[u8; 16]) -> Self {
+        Aead { gcm: Gcm::new(key) }
     }
-    let (ct, tag) = sealed.split_at(sealed.len() - 16);
-    let iv = derive_iv(nonce);
-    let gcm = Gcm::new(key);
-    let tag: [u8; 16] = tag.try_into().expect("split guarantees 16 bytes");
-    gcm.decrypt(&iv, ct, aad, &tag).ok_or(AuthError)
+
+    /// Same bytes as [`aead_seal`] under this key.
+    #[must_use]
+    pub fn seal(&self, nonce: &[u8], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
+        let (mut ct, tag) = self.gcm.encrypt(&derive_iv(nonce), plaintext, aad);
+        ct.extend_from_slice(&tag);
+        ct
+    }
+
+    /// Same result as [`aead_open`] under this key.
+    pub fn open(&self, nonce: &[u8], sealed: &[u8], aad: &[u8]) -> Result<Vec<u8>, AuthError> {
+        if sealed.len() < 16 {
+            return Err(AuthError);
+        }
+        let (ct, tag) = sealed.split_at(sealed.len() - 16);
+        let tag: [u8; 16] = tag.try_into().expect("split guarantees 16 bytes");
+        self.gcm
+            .decrypt(&derive_iv(nonce), ct, aad, &tag)
+            .ok_or(AuthError)
+    }
 }
 
 fn derive_iv(nonce: &[u8]) -> [u8; 12] {

@@ -1,6 +1,53 @@
 //! Block-cipher modes: CTR streaming and GCM authenticated encryption.
+//!
+//! Both modes draw their keystream from one function, `keystream`,
+//! which encrypts up to 64 counter blocks per bitsliced pass of the
+//! constant-time [`Aes128`]; GCM's first pass also yields its tag mask.
+//! GHASH multiplies in GF(2^128) the way BearSSL's `ghash_ctmul64` does:
+//! Karatsuba over three 64x64 carry-less products, each one built from
+//! integer multiplies of operands masked to every fourth bit (so carries
+//! land only in bits that are masked off), the upper halves recovered by
+//! multiplying bit-reversed operands, then a two-step shift-and-fold
+//! reduction, shared by eight blocks at a time. No step branches on, or
+//! indexes memory with, key or data bits.
 
-use crate::aes::Aes128;
+use crate::aes::{Aes128, BATCH_BLOCKS};
+
+/// Fill `blocks` with the AES-CTR keystream of the counter blocks
+/// `iv || counter`, `iv || counter + 1`, … (32-bit big-endian counter,
+/// wrapping at `u32::MAX`), in one bitsliced pass.
+fn keystream(cipher: &Aes128, iv: &[u8; 12], mut counter: u32, blocks: &mut [[u8; 16]]) {
+    for block in blocks.iter_mut() {
+        block[..12].copy_from_slice(iv);
+        block[12..].copy_from_slice(&counter.to_be_bytes());
+        counter = counter.wrapping_add(1);
+    }
+    cipher.encrypt_blocks(blocks);
+}
+
+/// XOR `data` in place with the keystream from `counter` on.
+fn ctr_xor(cipher: &Aes128, iv: &[u8; 12], mut counter: u32, data: &mut [u8]) {
+    // GCM messages that end inside their first pass come here empty:
+    // skip the 1 KiB buffer.
+    if data.is_empty() {
+        return;
+    }
+    let mut ks = [[0u8; 16]; BATCH_BLOCKS];
+    for chunk in data.chunks_mut(16 * BATCH_BLOCKS) {
+        let ks = &mut ks[..chunk.len().div_ceil(16)];
+        keystream(cipher, iv, counter, ks);
+        xor(chunk, ks.as_flattened());
+        #[allow(clippy::cast_possible_truncation)]
+        let passed = ks.len() as u32;
+        counter = counter.wrapping_add(passed);
+    }
+}
+
+fn xor(data: &mut [u8], ks: &[u8]) {
+    for (b, k) in data.iter_mut().zip(ks) {
+        *b ^= k;
+    }
+}
 
 /// AES-128-CTR keystream cipher.
 ///
@@ -24,17 +71,8 @@ impl Ctr {
     /// XOR `data` in place with the keystream starting at (`iv`, `counter`).
     ///
     /// Encryption and decryption are the same operation.
-    pub fn apply(&self, iv: &[u8; 12], mut counter: u32, data: &mut [u8]) {
-        let mut block = [0u8; 16];
-        block[..12].copy_from_slice(iv);
-        for chunk in data.chunks_mut(16) {
-            block[12..].copy_from_slice(&counter.to_be_bytes());
-            let ks = self.cipher.encrypt(&block);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            counter = counter.wrapping_add(1);
-        }
+    pub fn apply(&self, iv: &[u8; 12], counter: u32, data: &mut [u8]) {
+        ctr_xor(&self.cipher, iv, counter, data);
     }
 }
 
@@ -42,11 +80,18 @@ impl Ctr {
 ///
 /// Used for Gramine-protected-file-style sealed blobs and attestation
 /// channel payloads.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Gcm {
     cipher: Aes128,
     /// GHASH subkey H = E_K(0^128), as a 128-bit big-endian integer.
     h: u128,
+}
+
+impl std::fmt::Debug for Gcm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // H is key material too.
+        f.write_str("Gcm {{ .. }}")
+    }
 }
 
 impl Gcm {
@@ -62,14 +107,15 @@ impl Gcm {
     /// Returns `(ciphertext, tag)`.
     #[must_use]
     pub fn encrypt(&self, iv: &[u8; 12], plaintext: &[u8], aad: &[u8]) -> (Vec<u8>, [u8; 16]) {
+        let first = self.first_pass(iv, plaintext.len());
         let mut ct = plaintext.to_vec();
-        // CTR starts at 2 for data; counter 1 is reserved for the tag mask.
-        self.ctr_xor(iv, 2, &mut ct);
-        let tag = self.compute_tag(iv, &ct, aad);
+        self.xor_data(iv, &first, &mut ct);
+        let tag = self.compute_tag(&first[0], &ct, aad);
         (ct, tag)
     }
 
-    /// Decrypt and verify. Returns `None` on tag mismatch.
+    /// Decrypt and verify. Returns `None` on tag mismatch; the
+    /// ciphertext is authenticated before any of it is decrypted.
     #[must_use]
     pub fn decrypt(
         &self,
@@ -78,97 +124,175 @@ impl Gcm {
         aad: &[u8],
         tag: &[u8; 16],
     ) -> Option<Vec<u8>> {
-        let expected = self.compute_tag(iv, ciphertext, aad);
+        let first = self.first_pass(iv, ciphertext.len());
+        let expected = self.compute_tag(&first[0], ciphertext, aad);
         if !crate::ct_eq(&expected, tag) {
             return None;
         }
         let mut pt = ciphertext.to_vec();
-        self.ctr_xor(iv, 2, &mut pt);
+        self.xor_data(iv, &first, &mut pt);
         Some(pt)
     }
 
-    fn ctr_xor(&self, iv: &[u8; 12], start_counter: u32, data: &mut [u8]) {
-        let mut block = [0u8; 16];
-        block[..12].copy_from_slice(iv);
-        let mut counter = start_counter;
-        for chunk in data.chunks_mut(16) {
-            block[12..].copy_from_slice(&counter.to_be_bytes());
-            let ks = self.cipher.encrypt(&block);
-            for (b, k) in chunk.iter_mut().zip(ks.iter()) {
-                *b ^= k;
-            }
-            counter = counter.wrapping_add(1);
-        }
+    /// The first bitsliced pass of a `len`-byte message's counter run:
+    /// block 0 is the tag mask E_K(J0) (counter 1, J0 = IV || 0^31 || 1),
+    /// blocks 1.. the keystream of its first data blocks (counters 2, …).
+    /// A short message thus costs one pass for both.
+    fn first_pass(&self, iv: &[u8; 12], len: usize) -> [[u8; 16]; BATCH_BLOCKS] {
+        let mut first = [[0u8; 16]; BATCH_BLOCKS];
+        let blocks = (1 + len.div_ceil(16)).min(BATCH_BLOCKS);
+        keystream(&self.cipher, iv, 1, &mut first[..blocks]);
+        first
     }
 
-    fn compute_tag(&self, iv: &[u8; 12], ciphertext: &[u8], aad: &[u8]) -> [u8; 16] {
-        let mut ghash = Ghash::new(self.h);
-        ghash.update_padded(aad);
-        ghash.update_padded(ciphertext);
+    /// XOR `data` with the data keystream: what `first` holds, then on.
+    fn xor_data(&self, iv: &[u8; 12], first: &[[u8; 16]; BATCH_BLOCKS], data: &mut [u8]) {
+        let (head, tail) = data.split_at_mut(data.len().min(16 * (BATCH_BLOCKS - 1)));
+        xor(head, first[1..].as_flattened());
+        #[allow(clippy::cast_possible_truncation)]
+        let next = 1 + BATCH_BLOCKS as u32;
+        ctr_xor(&self.cipher, iv, next, tail);
+    }
+
+    /// Tag = GHASH_H(aad, ciphertext) ^ E_K(J0).
+    fn compute_tag(&self, mask: &[u8; 16], ciphertext: &[u8], aad: &[u8]) -> [u8; 16] {
+        let longest = aad.len().max(ciphertext.len()).div_ceil(16);
+        let mut ghash = Ghash::new(self.h, longest);
         let mut len_block = [0u8; 16];
         len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
         len_block[8..].copy_from_slice(&((ciphertext.len() as u64) * 8).to_be_bytes());
-        ghash.update_block(&len_block);
-        let s = ghash.finalize();
-
-        // Tag = GHASH ^ E_K(J0) where J0 = IV || 0^31 || 1.
-        let mut j0 = [0u8; 16];
-        j0[..12].copy_from_slice(iv);
-        j0[15] = 1;
-        let ek_j0 = self.cipher.encrypt(&j0);
-        let mut tag = [0u8; 16];
-        for i in 0..16 {
-            tag[i] = s[i] ^ ek_j0[i];
-        }
-        tag
+        ghash.update_padded(aad);
+        ghash.update_padded(ciphertext);
+        ghash.update_padded(&len_block);
+        (ghash.y ^ u128::from_be_bytes(*mask)).to_be_bytes()
     }
 }
 
-/// GHASH universal hash over GF(2^128).
+/// Blocks GHASH folds into one reduction.
+const GHASH_BATCH: usize = 8;
+
+/// Karatsuba operands of up to [`GHASH_BATCH`] field elements,
+/// structure-of-arrays: `ops[c][i]` is operand `c` of element `i`, for
+/// `c` in low half, high half, their XOR, then the bit reversals of
+/// those three.
+type Operands = [[u64; GHASH_BATCH]; 6];
+
+/// GHASH universal hash over GF(2^128): `y = (y ^ b) * H` per block `b`,
+/// evaluated `GHASH_BATCH` blocks at a time as
+/// `(y ^ b_1) * H^n ^ b_2 * H^(n-1) ^ … ^ b_n * H`, so the products are
+/// independent and share one reduction.
 struct Ghash {
-    h: u128,
+    /// Operands of the powers of H: slot `GHASH_BATCH - k` holds `H^k`.
+    powers: Operands,
     y: u128,
 }
 
 impl Ghash {
-    fn new(h: u128) -> Self {
-        Ghash { h, y: 0 }
-    }
-
-    fn update_block(&mut self, block: &[u8; 16]) {
-        self.y ^= u128::from_be_bytes(*block);
-        self.y = gf_mul(self.y, self.h);
+    /// A hasher for key `h` that absorbs runs of up to `blocks` blocks
+    /// (at most [`GHASH_BATCH`]) per reduction.
+    fn new(h: u128, blocks: usize) -> Self {
+        let n = blocks.clamp(1, GHASH_BATCH);
+        let mut powers = [[0; GHASH_BATCH]; 6];
+        let mut power = h;
+        for slot in (GHASH_BATCH - n..GHASH_BATCH).rev() {
+            if slot < GHASH_BATCH - 1 {
+                power = dot(&[power], &powers, GHASH_BATCH - 1);
+            }
+            for (c, x) in karatsuba(power).into_iter().enumerate() {
+                powers[c][slot] = x;
+                powers[c + 3][slot] = x.reverse_bits();
+            }
+        }
+        Ghash { powers, y: 0 }
     }
 
     /// Absorb data, zero-padding the final partial block.
     fn update_padded(&mut self, data: &[u8]) {
-        for chunk in data.chunks(16) {
-            let mut block = [0u8; 16];
-            block[..chunk.len()].copy_from_slice(chunk);
-            self.update_block(&block);
+        for run in data.chunks(16 * GHASH_BATCH) {
+            let mut xs = [0u128; GHASH_BATCH];
+            for (x, bytes) in xs.iter_mut().zip(run.chunks(16)) {
+                let mut block = [0u8; 16];
+                block[..bytes.len()].copy_from_slice(bytes);
+                *x = u128::from_be_bytes(block);
+            }
+            xs[0] ^= self.y;
+            let n = run.len().div_ceil(16);
+            self.y = dot(&xs[..n], &self.powers, GHASH_BATCH - n);
         }
-    }
-
-    fn finalize(self) -> [u8; 16] {
-        self.y.to_be_bytes()
     }
 }
 
-/// Multiply two elements of GF(2^128) with the GCM polynomial
-/// x^128 + x^7 + x^2 + x + 1, using the GCM bit order (bit 0 = MSB).
-fn gf_mul(x: u128, y: u128) -> u128 {
-    const R: u128 = 0xe1 << 120;
-    let mut z = 0u128;
-    let mut v = y;
-    for i in 0..128 {
-        if (x >> (127 - i)) & 1 == 1 {
-            z ^= v;
+/// `xs[0] * e_0 ^ xs[1] * e_1 ^ …` in GF(2^128) with the GCM polynomial
+/// x^128 + x^7 + x^2 + x + 1, in GCM bit order (bit 0 = MSB), where
+/// `e_j` is element `first + j` of `ops`.
+///
+/// Each 128x128 product is Karatsuba over three 64x64 carry-less
+/// products; their low halves come from [`bmul64`] and their high halves
+/// from `bmul64` of the bit-reversed operands. Every step is linear, so
+/// the products are summed unreduced and folded once. The operands sit
+/// structure-of-arrays and each sum is a loop with a run-time trip
+/// count, which the compiler turns into vector multiplies where the CPU
+/// has them (AVX-512).
+fn dot(xs: &[u128], ops: &Operands, first: usize) -> u128 {
+    let n = xs.len();
+    let mut x: Operands = [[0; GHASH_BATCH]; 6];
+    for (j, &xj) in xs.iter().enumerate() {
+        for (c, k) in karatsuba(xj).into_iter().enumerate() {
+            x[c][j] = k;
+            x[c + 3][j] = k.reverse_bits();
         }
-        let lsb = v & 1;
-        v >>= 1;
-        if lsb == 1 {
-            v ^= R;
-        }
+    }
+    let z: [u64; 6] = std::array::from_fn(|c| {
+        let (x, e) = (&x[c][..n], &ops[c][first..first + n]);
+        (0..n).fold(0, |acc, j| acc ^ bmul64(x[j], e[j]))
+    });
+    let [z0, z1, z2, z0h, z1h, z2h] = z;
+    let z2 = z2 ^ z0 ^ z1;
+    let z2h = z2h ^ z0h ^ z1h;
+    let [z0h, z1h, z2h] = [z0h, z1h, z2h].map(|z| z.reverse_bits() >> 1);
+
+    // The 256-bit product, shifted left one bit to undo GCM's reflected
+    // bit order.
+    let [v0, v1, v2, v3] = [z0, z0h ^ z2, z1 ^ z2h, z1h];
+    let v3 = (v3 << 1) | (v2 >> 63);
+    let v2 = (v2 << 1) | (v1 >> 63);
+    let v1 = (v1 << 1) | (v0 >> 63);
+    let v0 = v0 << 1;
+
+    // Fold the low 128 bits into the high 128, 64 bits at a time.
+    let v2 = v2 ^ v0 ^ (v0 >> 1) ^ (v0 >> 2) ^ (v0 >> 7);
+    let v1 = v1 ^ (v0 << 63) ^ (v0 << 62) ^ (v0 << 57);
+    let v3 = v3 ^ v1 ^ (v1 >> 1) ^ (v1 >> 2) ^ (v1 >> 7);
+    let v2 = v2 ^ (v1 << 63) ^ (v1 << 62) ^ (v1 << 57);
+    u128::from(v3) << 64 | u128::from(v2)
+}
+
+/// Split a field element into its Karatsuba operands `[low, high, low ^ high]`.
+#[allow(clippy::cast_possible_truncation)]
+fn karatsuba(x: u128) -> [u64; 3] {
+    let (hi, lo) = ((x >> 64) as u64, x as u64);
+    [lo, hi, lo ^ hi]
+}
+
+/// Low 64 bits of the carry-less product `x * y`, from integer
+/// multiplies. Each operand is split into four masks that keep every
+/// fourth bit; in a product of two such masks, the carries of up to 16
+/// coinciding ones pile into the three zero bits between kept positions
+/// and are masked away afterwards.
+fn bmul64(x: u64, y: u64) -> u64 {
+    const M: [u64; 4] = [
+        0x1111_1111_1111_1111,
+        0x2222_2222_2222_2222,
+        0x4444_4444_4444_4444,
+        0x8888_8888_8888_8888,
+    ];
+    let x = M.map(|m| x & m);
+    let y = M.map(|m| y & m);
+    let mut z = 0;
+    for (k, m) in M.iter().enumerate() {
+        // Bit class k of the product collects x_i * y_j with i + j = k mod 4.
+        let zk = (0..4).fold(0, |acc, i| acc ^ x[i].wrapping_mul(y[(k + 4 - i) % 4]));
+        z |= zk & m;
     }
     z
 }
@@ -177,6 +301,10 @@ fn gf_mul(x: u128, y: u128) -> u128 {
 mod tests {
     use super::*;
     use crate::sha256::{from_hex, to_hex};
+
+    fn gf_mul(x: u128, y: u128) -> u128 {
+        dot(&[x], &Ghash::new(y, 1).powers, GHASH_BATCH - 1)
+    }
 
     #[test]
     fn nist_gcm_test_case_1() {

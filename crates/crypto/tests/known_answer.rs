@@ -1,12 +1,13 @@
 //! Known-answer tests against published vectors: FIPS 180-4 (SHA-256),
-//! RFC 4231 (HMAC-SHA-256) and NIST SP 800-38A (AES-128 ECB and CTR).
+//! RFC 4231 (HMAC-SHA-256), NIST SP 800-38A (AES-128 ECB and CTR) and
+//! the GCM specification (McGrew–Viega, AES-128 test cases 3 and 4).
 //! The primitives already have unit tests; these pin the exact bytes
 //! the standards publish, so a silent regression in any round function
 //! fails against an external reference rather than a self-computed one.
 
 use cllm_crypto::aes::Aes128;
 use cllm_crypto::hmac::hmac_sha256;
-use cllm_crypto::modes::Ctr;
+use cllm_crypto::modes::{Ctr, Gcm};
 use cllm_crypto::sha256::{from_hex, sha256, to_hex};
 
 fn hex(s: &str) -> Vec<u8> {
@@ -151,4 +152,45 @@ fn aes128_ctr_is_an_involution_on_the_nist_vector() {
     ctr.apply(&iv, 0xfcfd_feff, &mut data);
     ctr.apply(&iv, 0xfcfd_feff, &mut data);
     assert_eq!(data, nist_plaintext());
+}
+
+// --- GCM specification (McGrew & Viega), AES-128 test cases 3 and 4 ---
+
+/// The key, IV and 64-byte plaintext shared by test cases 3 and 4.
+fn gcm_case_3_4() -> (Gcm, [u8; 12], Vec<u8>) {
+    let gcm = Gcm::new(&key16("feffe9928665731c6d6a8f9467308308"));
+    let iv: [u8; 12] = hex("cafebabefacedbaddecaf888")
+        .try_into()
+        .expect("12-byte iv");
+    let pt = hex("d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a721c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255");
+    (gcm, iv, pt)
+}
+
+#[test]
+fn aes128_gcm_spec_test_case_3() {
+    // Four full blocks, no AAD.
+    let (gcm, iv, pt) = gcm_case_3_4();
+    let (ct, tag) = gcm.encrypt(&iv, &pt, b"");
+    assert_eq!(
+        to_hex(&ct),
+        "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091473f5985"
+    );
+    assert_eq!(to_hex(&tag), "4d5c2af327cd64a62cf35abd2ba6fab4");
+    assert_eq!(gcm.decrypt(&iv, &ct, b"", &tag), Some(pt));
+}
+
+#[test]
+fn aes128_gcm_spec_test_case_4() {
+    // 20-byte AAD and a 60-byte plaintext: partial final blocks on both.
+    let (gcm, iv, pt) = gcm_case_3_4();
+    let pt = &pt[..60];
+    let aad = hex("feedfacedeadbeeffeedfacedeadbeefabaddad2");
+    let (ct, tag) = gcm.encrypt(&iv, pt, &aad);
+    assert_eq!(
+        to_hex(&ct),
+        "42831ec2217774244b7221b784d0d49ce3aa212f2c02a4e035c17e2329aca12e21d514b25466931c7d8f6a5aac84aa051ba30b396a0aac973d58e091"
+    );
+    assert_eq!(to_hex(&tag), "5bc94fbc3221a5db94fae95ae7121a47");
+    assert_eq!(gcm.decrypt(&iv, &ct, &aad, &tag).as_deref(), Some(pt));
+    assert_eq!(gcm.decrypt(&iv, &ct, &aad[..19], &tag), None);
 }

@@ -147,7 +147,9 @@ pub fn model_from_bytes(bytes: &[u8]) -> Result<TinyModel, SerializeError> {
         return Err(SerializeError::Malformed("inconsistent config"));
     }
     let embed = r.matrix()?;
-    let mut blocks = Vec::with_capacity(config.layers);
+    // No pre-allocation from the header: `layers` is untrusted, and each
+    // layer must first parse from bytes that are really there.
+    let mut blocks = Vec::new();
     for _ in 0..config.layers {
         let input_norm = r.vec()?;
         let wq = Linear::F32(r.matrix()?);
@@ -230,5 +232,19 @@ mod tests {
         assert!(model_from_bytes(&bytes).is_err());
         bytes[0] = b'X';
         assert!(model_from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn huge_layer_count_is_malformed_not_an_abort() {
+        // A header claiming u32::MAX layers once reached
+        // `Vec::with_capacity` and aborted the process on allocation.
+        let m = TinyModel::init(&TinyConfig::test_small(), 7);
+        let mut bytes = model_to_bytes(&m).unwrap();
+        // magic (4) + version (2) + hidden (4), then layers.
+        bytes[10..14].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            model_from_bytes(&bytes),
+            Err(SerializeError::Malformed(_))
+        ));
     }
 }

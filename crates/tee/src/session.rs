@@ -21,7 +21,7 @@ use cllm_crypto::dh::DhKeyPair;
 use cllm_crypto::drbg::HashDrbg;
 use cllm_crypto::kdf::hkdf;
 use cllm_crypto::sha256::Sha256;
-use cllm_crypto::{aead_open, aead_seal};
+use cllm_crypto::Aead;
 
 /// Errors during session establishment or record exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,7 +199,8 @@ pub fn enclave_respond(
 /// sequence numbers on both directions.
 #[derive(Debug)]
 pub struct SecureChannel {
-    key: [u8; 16],
+    /// The session key, expanded once for every record.
+    aead: Aead,
     send_seq: u64,
     recv_seq: u64,
 }
@@ -216,7 +217,7 @@ pub struct Record {
 impl SecureChannel {
     fn new(key: [u8; 16]) -> Self {
         SecureChannel {
-            key,
+            aead: Aead::new(&key),
             send_seq: 0,
             recv_seq: 0,
         }
@@ -229,7 +230,7 @@ impl SecureChannel {
         let mut nonce = Vec::with_capacity(24);
         nonce.extend_from_slice(b"rec");
         nonce.extend_from_slice(&seq.to_be_bytes());
-        let body = aead_seal(&self.key, &nonce, plaintext, &seq.to_be_bytes());
+        let body = self.aead.seal(&nonce, plaintext, &seq.to_be_bytes());
         Record { seq, body }
     }
 
@@ -242,7 +243,9 @@ impl SecureChannel {
         let mut nonce = Vec::with_capacity(24);
         nonce.extend_from_slice(b"rec");
         nonce.extend_from_slice(&record.seq.to_be_bytes());
-        let plaintext = aead_open(&self.key, &nonce, &record.body, &record.seq.to_be_bytes())
+        let plaintext = self
+            .aead
+            .open(&nonce, &record.body, &record.seq.to_be_bytes())
             .map_err(|_| SessionError::BadRecord)?;
         self.recv_seq += 1;
         Ok(plaintext)
