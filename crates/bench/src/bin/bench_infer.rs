@@ -244,18 +244,22 @@ fn spec_tps(target: &TinyModel, draft: &TinyModel) -> (f64, f64) {
 
 /// MB/s of `aead_open` over the model's sealed serialized weights —
 /// the unseal a confidential deployment pays before its first token.
+/// The fastest of three opens, so one descheduled run does not set it.
 fn aead_open_mb_per_s(model: &TinyModel) -> f64 {
     const KEY: [u8; 16] = [0x5E; 16];
     const AAD: &[u8] = b"cllm-model-v1";
     let bytes = model_to_bytes(model).expect("f32 model serializes");
     let sealed = aead_seal(&KEY, b"bench_infer", &bytes, AAD);
-    let t0 = Instant::now();
-    let opened = aead_open(&KEY, b"bench_infer", &sealed, AAD);
-    let wall = t0.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(opened.as_deref(), Ok(&bytes[..]), "sealed model must open");
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        let opened = aead_open(&KEY, b"bench_infer", &sealed, AAD);
+        best = best.min(t0.elapsed().as_secs_f64().max(1e-9));
+        assert_eq!(opened.as_deref(), Ok(&bytes[..]), "sealed model must open");
+    }
     #[allow(clippy::cast_precision_loss)]
     {
-        sealed.len() as f64 / 1e6 / wall
+        sealed.len() as f64 / 1e6 / best
     }
 }
 

@@ -1,8 +1,8 @@
 //! Block-cipher modes: CTR streaming and GCM authenticated encryption.
 //!
-//! Both modes draw their keystream from one function, `keystream`,
-//! which encrypts up to 64 counter blocks per bitsliced pass of the
-//! constant-time [`Aes128`]; GCM's first pass also yields its tag mask.
+//! Both modes draw their keystream from one function, `ctr_xor`, which
+//! encrypts up to 64 counter blocks per bitsliced pass of the
+//! constant-time [`Aes128`].
 //! GHASH multiplies in GF(2^128) the way BearSSL's `ghash_ctmul64` does:
 //! Karatsuba over three 64x64 carry-less products, each one built from
 //! integer multiplies of operands masked to every fourth bit (so carries
@@ -13,39 +13,22 @@
 
 use crate::aes::{Aes128, BATCH_BLOCKS};
 
-/// Fill `blocks` with the AES-CTR keystream of the counter blocks
+/// XOR `data` in place with the AES-CTR keystream of the counter blocks
 /// `iv || counter`, `iv || counter + 1`, … (32-bit big-endian counter,
-/// wrapping at `u32::MAX`), in one bitsliced pass.
-fn keystream(cipher: &Aes128, iv: &[u8; 12], mut counter: u32, blocks: &mut [[u8; 16]]) {
-    for block in blocks.iter_mut() {
-        block[..12].copy_from_slice(iv);
-        block[12..].copy_from_slice(&counter.to_be_bytes());
-        counter = counter.wrapping_add(1);
-    }
-    cipher.encrypt_blocks(blocks);
-}
-
-/// XOR `data` in place with the keystream from `counter` on.
+/// wrapping at `u32::MAX`), [`BATCH_BLOCKS`] blocks per bitsliced pass.
 fn ctr_xor(cipher: &Aes128, iv: &[u8; 12], mut counter: u32, data: &mut [u8]) {
-    // GCM messages that end inside their first pass come here empty:
-    // skip the 1 KiB buffer.
-    if data.is_empty() {
-        return;
-    }
     let mut ks = [[0u8; 16]; BATCH_BLOCKS];
     for chunk in data.chunks_mut(16 * BATCH_BLOCKS) {
         let ks = &mut ks[..chunk.len().div_ceil(16)];
-        keystream(cipher, iv, counter, ks);
-        xor(chunk, ks.as_flattened());
-        #[allow(clippy::cast_possible_truncation)]
-        let passed = ks.len() as u32;
-        counter = counter.wrapping_add(passed);
-    }
-}
-
-fn xor(data: &mut [u8], ks: &[u8]) {
-    for (b, k) in data.iter_mut().zip(ks) {
-        *b ^= k;
+        for block in ks.iter_mut() {
+            block[..12].copy_from_slice(iv);
+            block[12..].copy_from_slice(&counter.to_be_bytes());
+            counter = counter.wrapping_add(1);
+        }
+        cipher.encrypt_blocks(ks);
+        for (b, k) in chunk.iter_mut().zip(ks.as_flattened()) {
+            *b ^= k;
+        }
     }
 }
 
@@ -83,14 +66,15 @@ impl Ctr {
 #[derive(Clone)]
 pub struct Gcm {
     cipher: Aes128,
-    /// GHASH subkey H = E_K(0^128), as a 128-bit big-endian integer.
-    h: u128,
+    /// Karatsuba operands of H^1..H^8, where H = E_K(0^128) is the
+    /// GHASH subkey.
+    powers: Operands,
 }
 
 impl std::fmt::Debug for Gcm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // H is key material too.
-        f.write_str("Gcm {{ .. }}")
+        // The powers of H are key material too.
+        f.debug_struct("Gcm").finish_non_exhaustive()
     }
 }
 
@@ -100,17 +84,19 @@ impl Gcm {
     pub fn new(key: &[u8; 16]) -> Self {
         let cipher = Aes128::new(key);
         let h = u128::from_be_bytes(cipher.encrypt(&[0u8; 16]));
-        Gcm { cipher, h }
+        Gcm {
+            cipher,
+            powers: powers_of(h),
+        }
     }
 
     /// Encrypt `plaintext` with additional authenticated data `aad`.
     /// Returns `(ciphertext, tag)`.
     #[must_use]
     pub fn encrypt(&self, iv: &[u8; 12], plaintext: &[u8], aad: &[u8]) -> (Vec<u8>, [u8; 16]) {
-        let first = self.first_pass(iv, plaintext.len());
         let mut ct = plaintext.to_vec();
-        self.xor_data(iv, &first, &mut ct);
-        let tag = self.compute_tag(&first[0], &ct, aad);
+        ctr_xor(&self.cipher, iv, 2, &mut ct);
+        let tag = self.compute_tag(iv, &ct, aad);
         (ct, tag)
     }
 
@@ -124,47 +110,31 @@ impl Gcm {
         aad: &[u8],
         tag: &[u8; 16],
     ) -> Option<Vec<u8>> {
-        let first = self.first_pass(iv, ciphertext.len());
-        let expected = self.compute_tag(&first[0], ciphertext, aad);
+        let expected = self.compute_tag(iv, ciphertext, aad);
         if !crate::ct_eq(&expected, tag) {
             return None;
         }
         let mut pt = ciphertext.to_vec();
-        self.xor_data(iv, &first, &mut pt);
+        ctr_xor(&self.cipher, iv, 2, &mut pt);
         Some(pt)
     }
 
-    /// The first bitsliced pass of a `len`-byte message's counter run:
-    /// block 0 is the tag mask E_K(J0) (counter 1, J0 = IV || 0^31 || 1),
-    /// blocks 1.. the keystream of its first data blocks (counters 2, …).
-    /// A short message thus costs one pass for both.
-    fn first_pass(&self, iv: &[u8; 12], len: usize) -> [[u8; 16]; BATCH_BLOCKS] {
-        let mut first = [[0u8; 16]; BATCH_BLOCKS];
-        let blocks = (1 + len.div_ceil(16)).min(BATCH_BLOCKS);
-        keystream(&self.cipher, iv, 1, &mut first[..blocks]);
-        first
-    }
-
-    /// XOR `data` with the data keystream: what `first` holds, then on.
-    fn xor_data(&self, iv: &[u8; 12], first: &[[u8; 16]; BATCH_BLOCKS], data: &mut [u8]) {
-        let (head, tail) = data.split_at_mut(data.len().min(16 * (BATCH_BLOCKS - 1)));
-        xor(head, first[1..].as_flattened());
-        #[allow(clippy::cast_possible_truncation)]
-        let next = 1 + BATCH_BLOCKS as u32;
-        ctr_xor(&self.cipher, iv, next, tail);
-    }
-
-    /// Tag = GHASH_H(aad, ciphertext) ^ E_K(J0).
-    fn compute_tag(&self, mask: &[u8; 16], ciphertext: &[u8], aad: &[u8]) -> [u8; 16] {
-        let longest = aad.len().max(ciphertext.len()).div_ceil(16);
-        let mut ghash = Ghash::new(self.h, longest);
+    /// Tag = GHASH_H(aad, ciphertext) ^ E_K(J0), J0 = IV || 0^31 || 1.
+    fn compute_tag(&self, iv: &[u8; 12], ciphertext: &[u8], aad: &[u8]) -> [u8; 16] {
+        let mut j0 = [0u8; 16];
+        j0[..12].copy_from_slice(iv);
+        j0[15] = 1;
+        let mut ghash = Ghash {
+            powers: &self.powers,
+            y: 0,
+        };
         let mut len_block = [0u8; 16];
         len_block[..8].copy_from_slice(&((aad.len() as u64) * 8).to_be_bytes());
         len_block[8..].copy_from_slice(&((ciphertext.len() as u64) * 8).to_be_bytes());
         ghash.update_padded(aad);
         ghash.update_padded(ciphertext);
         ghash.update_padded(&len_block);
-        (ghash.y ^ u128::from_be_bytes(*mask)).to_be_bytes()
+        (ghash.y ^ u128::from_be_bytes(self.cipher.encrypt(&j0))).to_be_bytes()
     }
 }
 
@@ -177,35 +147,33 @@ const GHASH_BATCH: usize = 8;
 /// those three.
 type Operands = [[u64; GHASH_BATCH]; 6];
 
+/// The operands of H^1..H^[`GHASH_BATCH`]: slot `GHASH_BATCH - k`
+/// holds `H^k`.
+fn powers_of(h: u128) -> Operands {
+    let mut powers = [[0; GHASH_BATCH]; 6];
+    let mut power = h;
+    for slot in (0..GHASH_BATCH).rev() {
+        if slot < GHASH_BATCH - 1 {
+            power = dot(&[power], &powers, GHASH_BATCH - 1);
+        }
+        for (c, x) in karatsuba(power).into_iter().enumerate() {
+            powers[c][slot] = x;
+            powers[c + 3][slot] = x.reverse_bits();
+        }
+    }
+    powers
+}
+
 /// GHASH universal hash over GF(2^128): `y = (y ^ b) * H` per block `b`,
 /// evaluated `GHASH_BATCH` blocks at a time as
 /// `(y ^ b_1) * H^n ^ b_2 * H^(n-1) ^ … ^ b_n * H`, so the products are
 /// independent and share one reduction.
-struct Ghash {
-    /// Operands of the powers of H: slot `GHASH_BATCH - k` holds `H^k`.
-    powers: Operands,
+struct Ghash<'a> {
+    powers: &'a Operands,
     y: u128,
 }
 
-impl Ghash {
-    /// A hasher for key `h` that absorbs runs of up to `blocks` blocks
-    /// (at most [`GHASH_BATCH`]) per reduction.
-    fn new(h: u128, blocks: usize) -> Self {
-        let n = blocks.clamp(1, GHASH_BATCH);
-        let mut powers = [[0; GHASH_BATCH]; 6];
-        let mut power = h;
-        for slot in (GHASH_BATCH - n..GHASH_BATCH).rev() {
-            if slot < GHASH_BATCH - 1 {
-                power = dot(&[power], &powers, GHASH_BATCH - 1);
-            }
-            for (c, x) in karatsuba(power).into_iter().enumerate() {
-                powers[c][slot] = x;
-                powers[c + 3][slot] = x.reverse_bits();
-            }
-        }
-        Ghash { powers, y: 0 }
-    }
-
+impl Ghash<'_> {
     /// Absorb data, zero-padding the final partial block.
     fn update_padded(&mut self, data: &[u8]) {
         for run in data.chunks(16 * GHASH_BATCH) {
@@ -217,7 +185,7 @@ impl Ghash {
             }
             xs[0] ^= self.y;
             let n = run.len().div_ceil(16);
-            self.y = dot(&xs[..n], &self.powers, GHASH_BATCH - n);
+            self.y = dot(&xs[..n], self.powers, GHASH_BATCH - n);
         }
     }
 }
@@ -303,7 +271,7 @@ mod tests {
     use crate::sha256::{from_hex, to_hex};
 
     fn gf_mul(x: u128, y: u128) -> u128 {
-        dot(&[x], &Ghash::new(y, 1).powers, GHASH_BATCH - 1)
+        dot(&[x], &powers_of(y), GHASH_BATCH - 1)
     }
 
     #[test]
@@ -337,6 +305,15 @@ mod tests {
         let pt = gcm.decrypt(&iv, &ct, b"manifest-v1", &tag).unwrap();
         assert_eq!(pt, b"confidential weights");
         assert!(gcm.decrypt(&iv, &ct, b"manifest-v2", &tag).is_none());
+    }
+
+    #[test]
+    fn debug_does_not_print_key_material() {
+        assert_eq!(format!("{:?}", Gcm::new(&[9u8; 16])), "Gcm { .. }");
+        assert_eq!(
+            format!("{:?}", Ctr::new(&[9u8; 16])),
+            "Ctr { cipher: Aes128 { .. } }"
+        );
     }
 
     #[test]
