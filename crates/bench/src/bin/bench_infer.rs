@@ -41,7 +41,7 @@ use std::time::Instant;
 
 /// Schema fields every `BENCH_infer.json` must carry, with their JSON
 /// type class (`true` = number, `false` = string).
-const SCHEMA: [(&str, bool); 32] = [
+const SCHEMA: [(&str, bool); 33] = [
     ("schema_version", true),
     ("model", false),
     ("hidden", true),
@@ -69,6 +69,7 @@ const SCHEMA: [(&str, bool); 32] = [
     ("calibration_ok", true),
     ("floor_naive_decode_tps", true),
     ("floor_tiled_prefill_tps", true),
+    ("floor_int8_prefill_tps", true),
     ("floor_tiled_decode_tps", true),
     ("floor_int8_decode_tps", true),
     ("floor_int4_decode_tps", true),
@@ -76,10 +77,11 @@ const SCHEMA: [(&str, bool); 32] = [
     ("floor_aead_open_mb_per_s", true),
 ];
 
-/// The seven (rate, floor) pairs `--check` guards.
-const FLOORED: [(&str, &str); 7] = [
+/// The eight (rate, floor) pairs `--check` guards.
+const FLOORED: [(&str, &str); 8] = [
     ("naive_decode_tps", "floor_naive_decode_tps"),
     ("tiled_prefill_tps", "floor_tiled_prefill_tps"),
+    ("int8_prefill_tps", "floor_int8_prefill_tps"),
     ("tiled_decode_tps", "floor_tiled_decode_tps"),
     ("int8_decode_tps", "floor_int8_decode_tps"),
     ("int4_decode_tps", "floor_int4_decode_tps"),
@@ -365,6 +367,7 @@ fn document(scale: Scale, config: &TinyConfig, params: usize, r: &Rates) -> Valu
         ),
         ("floor_naive_decode_tps".into(), float(0.0)),
         ("floor_tiled_prefill_tps".into(), float(0.0)),
+        ("floor_int8_prefill_tps".into(), float(0.0)),
         ("floor_tiled_decode_tps".into(), float(0.0)),
         ("floor_int8_decode_tps".into(), float(0.0)),
         ("floor_int4_decode_tps".into(), float(0.0)),
@@ -559,6 +562,7 @@ fn run_check(path: &Path) -> ExitCode {
             "floor_tiled_prefill_tps",
         ),
         ("tiled decode", rates.tiled_decode, "floor_tiled_decode_tps"),
+        ("int8 prefill", rates.int8_prefill, "floor_int8_prefill_tps"),
         ("int8 decode", rates.int8_decode, "floor_int8_decode_tps"),
         ("int4 decode", rates.int4_decode, "floor_int4_decode_tps"),
         ("spec decode", rates.spec_decode, "floor_spec_decode_tps"),

@@ -64,17 +64,29 @@ fn main() {
         );
     }
 
-    // Batched: gemm over 32 inputs, weight rows reused across the batch.
+    // Batched: every format's gemm at 8 inputs (one block, as in a
+    // `forward_batch` step of 8 sequences) and 96 (a prefill chunk),
+    // weight rows reused across the batch.
     let w = mat(1408, 512, 2);
-    let xs = mat(32, 512, 3);
-    let mut out = Matrix::zeros(32, 1408);
-    let reps = 40;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        cllm_infer::kernels::gemm(&xs, &w, &mut out);
-        std::hint::black_box(&out);
+    let q8 = QuantMatrix::quantize(&w);
+    let q4 = Quant4Matrix::quantize(&w);
+    for batch in [8usize, 96] {
+        let xs = mat(batch, 512, 3);
+        let mut out = Matrix::zeros(batch, 1408);
+        let reps = 1280 / batch;
+        let mut rate = |f: &dyn Fn(&mut Matrix)| {
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                f(&mut out);
+                std::hint::black_box(&out);
+            }
+            (reps * batch * 1408 * 512) as f64 / t0.elapsed().as_secs_f64() / 2.1e9
+        };
+        let f32_rate = rate(&|out| cllm_infer::kernels::gemm(&xs, &w, out));
+        let int8_rate = rate(&|out| q8.gemm(&xs, out));
+        let int4_rate = rate(&|out| q4.gemm(&xs, out));
+        println!(
+            "gemm {batch}x[1408x512]: f32 {f32_rate:.2} int8 {int8_rate:.2} int4 {int4_rate:.2} MAC/cycle"
+        );
     }
-    let gemm = t0.elapsed().as_secs_f64();
-    let macs = (reps * 32 * 1408 * 512) as f64;
-    println!("gemm 32x[1408x512]: {:.2} MAC/cycle", macs / gemm / 2.1e9);
 }

@@ -9,13 +9,18 @@
 //!   FP-add latency, far below memory bandwidth. Kept as the correctness
 //!   oracle and the "naive" baseline in `bench_infer`.
 //! * [`gemv_tiled`] / [`gemm`] — the production path: both reduce each
-//!   `(output row, input row)` pair with the same `dot_lanes` routine
-//!   ([`LANES`] independent partial sums + a fixed pairwise reduction),
-//!   which the compiler auto-vectorizes. Because the per-pair summation
-//!   order is byte-for-byte shared, batched/chunked forwards built on
-//!   `gemm` are **bit-identical** to single-token forwards built on
-//!   `gemv_tiled`. Versus `gemv` the sum is reassociated, so results may
-//!   differ from the naive kernel by float rounding; the property suite
+//!   `(output row, input row)` pair in the `dot_lanes` order ([`LANES`]
+//!   independent partial sums + a fixed halving-tree reduction), which
+//!   the compiler auto-vectorizes. Single-row decode vectorizes *along*
+//!   the row (`dot_lanes`). The batched driver behind `gemm` and the
+//!   quantized GEMMs vectorizes *across inputs* instead: it transposes
+//!   full blocks of `BLOCK` (8) input rows so one vector FMA feeds one
+//!   weight element into eight inputs (`dot_block`), running exactly
+//!   `dot_lanes`'s operations elementwise. Because the per-pair summation
+//!   order is shared, batched/chunked forwards built on `gemm` are
+//!   **bit-identical** to single-token forwards built on `gemv_tiled`.
+//!   Versus `gemv` the sum is reassociated, so results may differ from
+//!   the naive kernel by float rounding; the property suite
 //!   (`tests/prop_kernels.rs`) pins that drift to ≤1e-5 relative error.
 
 use crate::tensor::Matrix;
@@ -28,6 +33,9 @@ use crate::tensor::Matrix;
 /// than one row's worth of 64-lane accumulators (e.g. a paired-row
 /// kernel) overflows the vector register file and spills the hot loop
 /// to the stack, which measures *slower* than single-row reduction.
+/// The batched `dot_block` keeps the same 64 lanes per (row, input)
+/// pair, but as vectors across `BLOCK` inputs, in register-resident
+/// groups of eight lanes.
 pub const LANES: usize = 64;
 
 /// Lane-parallel dot product with a fixed reduction order.
@@ -125,12 +133,131 @@ pub fn gemv_tiled(x: &[f32], w: &Matrix, out: &mut [f32]) {
     }
 }
 
-/// Cache-blocked batched matmul: `out[b] = xs[b] · w^T` for every input
-/// row `b`. The outer loop walks weight rows so each row of `w` is
-/// streamed from memory once and reused across the whole batch from
-/// cache — the weight-traffic amortization that batched decode buys.
-/// Every `(row, input)` pair reduces in the `dot_lanes` order, so
-/// `gemm` over a batch is bit-identical to [`gemv_tiled`] per input row.
+/// Input rows per block of the batched driver: one lane accumulator
+/// holds one value per input of the block, a single 8-wide vector.
+pub(crate) const BLOCK: usize = 8;
+
+/// Lane accumulators of [`dot_block`] held in registers at once: eight
+/// 8-wide vectors. All 64 lanes across a block would be 64 vectors and
+/// spill, so the lanes run in `LANES / LANE_GROUP` passes over the row.
+const LANE_GROUP: usize = 8;
+
+/// The batched matmul driver behind every weight format's `gemm`:
+/// `out[b][r] = xs[b] · (weight row r)` for every input row `b`.
+///
+/// `load(r, row)` writes weight row `r` as f32 — a copy of f32 weights,
+/// a dequantization of int8/int4 ones — once per call, into a scratch
+/// tile of [`TILE_ROWS`] rows. Full blocks of [`BLOCK`] input rows are
+/// transposed once per call, so one vector FMA multiplies a weight
+/// element into eight inputs (`dot_block`), and a tile of weight rows
+/// reuses each transposed block while it is in L1. Leftover rows (fewer
+/// than [`BLOCK`]) run `dot_lanes` against the same tile, so weights are
+/// streamed once for any batch. A one-row batch — decode — runs `gemv`,
+/// the format's single-row kernel, unchanged.
+pub(crate) fn gemm_rows(
+    xs: &Matrix,
+    out: &mut Matrix,
+    load: impl Fn(usize, &mut [f32]),
+    gemv: impl Fn(&[f32], &mut [f32]),
+) {
+    if xs.rows <= 1 {
+        for b in 0..xs.rows {
+            gemv(xs.row(b), out.row_mut(b));
+        }
+        return;
+    }
+    let (k, rows) = (xs.cols, out.cols);
+    let full = xs.rows / BLOCK * BLOCK;
+    // `xt[b * k + c][i]` is column `c` of input row `b * BLOCK + i`.
+    let mut xt = vec![[0.0; BLOCK]; full * k];
+    for b in 0..full {
+        for (col, v) in xt[b / BLOCK * k..].iter_mut().zip(xs.row(b)) {
+            col[b % BLOCK] = *v;
+        }
+    }
+    let mut w = vec![0.0; TILE_ROWS * k];
+    for r0 in (0..rows).step_by(TILE_ROWS) {
+        let tile = r0..(r0 + TILE_ROWS).min(rows);
+        for (j, r) in tile.clone().enumerate() {
+            load(r, &mut w[j * k..(j + 1) * k]);
+        }
+        for b in 0..full / BLOCK {
+            let block = &xt[b * k..(b + 1) * k];
+            for (j, r) in tile.clone().enumerate() {
+                let dots = dot_block(block, &w[j * k..(j + 1) * k]);
+                for (i, d) in dots.into_iter().enumerate() {
+                    out.row_mut(b * BLOCK + i)[r] = d;
+                }
+            }
+        }
+        for b in full..xs.rows {
+            dot_rows(xs.row(b), &w, &mut out.row_mut(b)[tile.clone()]);
+        }
+    }
+}
+
+/// `out[j] = dot_lanes(x, w_j)` for weight rows `w_j` packed back to back
+/// in `w`. Kept out of line so `dot_lanes` compiles as it does in
+/// [`gemv_tiled`], not inside the driver's larger loop nest.
+#[inline(never)]
+fn dot_rows(x: &[f32], w: &[f32], out: &mut [f32]) {
+    let k = x.len();
+    for (j, o) in out.iter_mut().enumerate() {
+        *o = dot_lanes(x, &w[j * k..(j + 1) * k]);
+    }
+}
+
+/// `dot_lanes` of one weight row against a transposed block of
+/// [`BLOCK`] inputs at once. Each lane is a `[f32; BLOCK]` vector and
+/// sees exactly `dot_lanes`'s FMAs, tail adds and halving tree, applied
+/// elementwise across the block, so every (row, input) pair is
+/// bit-identical to `dot_lanes`.
+#[inline(always)]
+fn dot_block(xt: &[[f32; BLOCK]], w: &[f32]) -> [f32; BLOCK] {
+    debug_assert_eq!(xt.len(), w.len());
+    let full = w.len() / LANES;
+    let mut lanes = [[0.0f32; BLOCK]; LANES];
+    for (g, group) in lanes.chunks_exact_mut(LANE_GROUP).enumerate() {
+        let mut acc = [[0.0f32; BLOCK]; LANE_GROUP];
+        for c in 0..full {
+            let at = c * LANES + g * LANE_GROUP;
+            let xs: &[[f32; BLOCK]; LANE_GROUP] =
+                xt[at..at + LANE_GROUP].try_into().expect("lane group");
+            let ws: &[f32; LANE_GROUP] = w[at..at + LANE_GROUP].try_into().expect("lane group");
+            for j in 0..LANE_GROUP {
+                for i in 0..BLOCK {
+                    acc[j][i] = xs[j][i].mul_add(ws[j], acc[j][i]);
+                }
+            }
+        }
+        group.copy_from_slice(&acc);
+    }
+    let start = full * LANES;
+    for (lane, (x, wi)) in lanes.iter_mut().zip(xt[start..].iter().zip(&w[start..])) {
+        for i in 0..BLOCK {
+            lane[i] += x[i] * wi;
+        }
+    }
+    let mut width = LANES;
+    while width > 1 {
+        width /= 2;
+        for l in 0..width {
+            let upper = lanes[l + width];
+            for (a, u) in lanes[l].iter_mut().zip(upper) {
+                *a += u;
+            }
+        }
+    }
+    lanes[0]
+}
+
+/// Batched matmul: `out[b] = xs[b] · w^T` for every input row `b`. The
+/// outer loop walks weight rows so each row of `w` is streamed from
+/// memory once and reused across the whole batch from cache; within a
+/// row, full blocks of `BLOCK` inputs share each weight load (see
+/// `dot_block`). Every `(row, input)` pair reduces in the `dot_lanes`
+/// order, so `gemm` over a batch is bit-identical to [`gemv_tiled`] per
+/// input row; a one-row batch runs `gemv_tiled` itself.
 ///
 /// # Panics
 ///
@@ -139,12 +266,12 @@ pub fn gemm(xs: &Matrix, w: &Matrix, out: &mut Matrix) {
     assert_eq!(xs.cols, w.cols, "gemm input dim");
     assert_eq!(out.rows, xs.rows, "gemm batch dim");
     assert_eq!(out.cols, w.rows, "gemm output dim");
-    for r in 0..w.rows {
-        let wr = w.row(r);
-        for b in 0..xs.rows {
-            out.row_mut(b)[r] = dot_lanes(xs.row(b), wr);
-        }
-    }
+    gemm_rows(
+        xs,
+        out,
+        |r, row| row.copy_from_slice(w.row(r)),
+        |x, o| gemv_tiled(x, w, o),
+    );
 }
 
 /// `out = x · w^T` for a single input row `x` (`1 x in`), with `w` stored

@@ -835,6 +835,55 @@ mod tests {
         }
     }
 
+    /// The f32, int8 and int4 variants of the test model.
+    fn every_format() -> [TinyModel; 3] {
+        [model(), model().quantized(), model().quantized4()]
+    }
+
+    #[test]
+    fn long_chunk_bit_identical_to_sequential_in_every_format() {
+        // 19 tokens: two full input blocks of the batched kernels plus
+        // three leftover rows.
+        let tokens: Vec<usize> = (0..19).map(|i| (i * 37 + 5) % 256).collect();
+        for m in every_format() {
+            let mut seq_cache = m.new_cache();
+            let seq: Vec<Vec<f32>> = tokens
+                .iter()
+                .map(|&t| m.forward(t, &mut seq_cache))
+                .collect();
+            let mut chunk_cache = m.new_cache();
+            let chunk = m.forward_chunk(&tokens, &mut chunk_cache);
+            for (i, sl) in seq.iter().enumerate() {
+                assert_eq!(chunk.row(i), &sl[..], "position {i} diverged");
+            }
+            assert_eq!(seq_cache.to_bytes(), chunk_cache.to_bytes());
+        }
+    }
+
+    #[test]
+    fn wide_batch_bit_identical_to_individual_in_every_format() {
+        // 9 sequences at different lengths: one full input block plus a
+        // leftover row.
+        for m in every_format() {
+            let mut caches: Vec<KvCache> = (0..9)
+                .map(|b| {
+                    let mut c = m.new_cache();
+                    let prompt: Vec<usize> = (0..=b).map(|i| (i * 11 + b * 3) % 256).collect();
+                    let _ = m.forward_chunk(&prompt, &mut c);
+                    c
+                })
+                .collect();
+            let mut individual = caches.clone();
+            let step: Vec<usize> = (0..9).map(|b| 200 + b).collect();
+            let batched = m.forward_batch(&step, &mut caches);
+            for (b, &t) in step.iter().enumerate() {
+                let single = m.forward(t, &mut individual[b]);
+                assert_eq!(batched.row(b), &single[..], "sequence {b} diverged");
+                assert_eq!(caches[b].to_bytes(), individual[b].to_bytes());
+            }
+        }
+    }
+
     #[test]
     fn truncate_rolls_back_exactly() {
         let m = model();

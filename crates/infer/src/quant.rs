@@ -10,11 +10,17 @@
 //!   A single per-row scale lets one outlier wreck the whole row; a
 //!   per-group scale bounds the damage to one group — the standard
 //!   trick behind GPTQ/AWQ-style weight-only quantization.
-//! * **Fused dequant-GEMV/GEMM.** The quantized kernels dequantize in
-//!   registers — each product applies the group scale as `x * (q * s)`
-//!   inside a row-long lane accumulator block — so f32 weights are
-//!   never materialized in memory. The int4 kernel unpacks two nibbles
-//!   per byte on the fly through a staged lane block.
+//! * **Fused dequant-GEMV, dequantize-once GEMM.** Single-row decode
+//!   dequantizes in registers — each product applies the group scale as
+//!   `x * (q * s)` inside a row-long lane accumulator block — so f32
+//!   weights are never materialized in memory; the int4 GEMV unpacks two
+//!   nibbles per byte on the fly through a staged lane block. The GEMM
+//!   instead dequantizes each weight row once per call into an f32
+//!   scratch tile (the same `q * s` values) and runs the shared
+//!   input-vectorized `kernels::gemm` driver over every full block of
+//!   eight inputs and its leftover rows, so the unpack is paid once per
+//!   row rather than once per input; a one-row batch takes the fused
+//!   GEMV.
 //! * **Packed int4.** [`Quant4Matrix`] stores two 4-bit codes per byte
 //!   (element `2j` in the low nibble, `2j+1` in the high nibble, biased
 //!   by +8), with an odd-column remainder occupying a half-used final
@@ -25,7 +31,7 @@
 //! `max|group|/14` for int4. The test suite pins both bounds on
 //! adversarial matrices (all-zero, single-outlier, alternating-sign).
 
-use crate::kernels::{merge_tail, reduce_lanes, LANES};
+use crate::kernels::{gemm_rows, merge_tail, reduce_lanes, LANES};
 use crate::tensor::Matrix;
 
 /// Columns per quantization group. 64 matches the engine's smallest
@@ -94,24 +100,32 @@ impl QuantMatrix {
     /// unfused equivalence test).
     #[must_use]
     pub fn dequantize(&self) -> Matrix {
-        let ngroups = groups_of(self.cols);
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
-            let row = out.row_mut(r);
-            for (c, v) in row.iter_mut().enumerate() {
-                let scale = self.scales[r * ngroups + c / GROUP];
-                *v = f32::from(self.data[r * self.cols + c]) * scale;
-            }
+            self.dequantize_row(r, out.row_mut(r));
         }
         out
+    }
+
+    /// Row `r` as f32: `f32::from(q) * s`, the same value the fused dot
+    /// forms in registers, so a dot over this row is bit-identical to it.
+    fn dequantize_row(&self, r: usize, out: &mut [f32]) {
+        let ngroups = groups_of(self.cols);
+        let codes = &self.data[r * self.cols..(r + 1) * self.cols];
+        for (g, (ws, qs)) in out.chunks_mut(GROUP).zip(codes.chunks(GROUP)).enumerate() {
+            let s = self.scales[r * ngroups + g];
+            for (w, q) in ws.iter_mut().zip(qs) {
+                *w = f32::from(*q) * s;
+            }
+        }
     }
 
     /// Fused per-row dot product: one [`LANES`]-wide f32 accumulator
     /// block spans the whole row (lane blocks never straddle a
     /// quantization group), with the group scale folded into each
-    /// product in registers — f32 weights are never materialized.
-    /// Shared by [`Self::gemv`] and [`Self::gemm`] so both are
-    /// bit-identical per row.
+    /// product in registers — f32 weights are never materialized. It
+    /// forms `dot_lanes` of [`Self::dequantize_row`] term by term, which
+    /// keeps the batched driver bit-identical to it.
     #[inline(always)]
     fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
         let ngroups = groups_of(self.cols);
@@ -162,8 +176,10 @@ impl QuantMatrix {
         }
     }
 
-    /// Batched fused GEMM: `out[b] = xs[b] · w^T`, weight rows streamed
-    /// once across the batch exactly like `kernels::gemm`.
+    /// Batched GEMM: `out[b] = xs[b] · w^T`, bit-identical per row to
+    /// [`Self::gemv`]. The `kernels::gemm` driver dequantizes each weight
+    /// row once per call for the whole batch; a one-row batch takes the
+    /// fused GEMV.
     ///
     /// # Panics
     ///
@@ -172,12 +188,12 @@ impl QuantMatrix {
         assert_eq!(xs.cols, self.cols, "qgemm input dim");
         assert_eq!(out.rows, xs.rows, "qgemm batch dim");
         assert_eq!(out.cols, self.rows, "qgemm output dim");
-        for r in 0..self.rows {
-            for b in 0..xs.rows {
-                let v = self.dot_row(r, xs.row(b));
-                out.row_mut(b)[r] = v;
-            }
-        }
+        gemm_rows(
+            xs,
+            out,
+            |r, w| self.dequantize_row(r, w),
+            |x, o| self.gemv(x, o),
+        );
     }
 
     /// Storage bytes (data + scales) — roughly a quarter of f32.
@@ -243,37 +259,55 @@ impl Quant4Matrix {
         }
     }
 
-    /// Unbiased code for element `(r, c)`.
-    #[inline]
-    fn code(&self, r: usize, c: usize) -> f32 {
-        let row_bytes = self.cols.div_ceil(2);
-        let byte = self.data[r * row_bytes + c / 2];
-        let nibble = if c.is_multiple_of(2) {
-            byte & 0x0F
-        } else {
-            byte >> 4
-        };
-        f32::from(i16::from(nibble) - 8)
-    }
-
     /// Dequantize back to f32.
     #[must_use]
     pub fn dequantize(&self) -> Matrix {
-        let ngroups = groups_of(self.cols);
         let mut out = Matrix::zeros(self.rows, self.cols);
         for r in 0..self.rows {
-            for c in 0..self.cols {
-                let scale = self.scales[r * ngroups + c / GROUP];
-                out.set(r, c, self.code(r, c) * scale);
-            }
+            self.dequantize_row(r, out.row_mut(r));
         }
         out
     }
 
+    /// Row `r` as f32: `f32::from(code) * s`, the same value the fused
+    /// dot forms in registers. Full groups unpack through fixed-size
+    /// views (two nibbles per byte, as in the fused dot) so the unpack
+    /// vectorizes; a ragged final group unpacks element by element.
+    fn dequantize_row(&self, r: usize, out: &mut [f32]) {
+        let ngroups = groups_of(self.cols);
+        let row_bytes = self.cols.div_ceil(2);
+        let packed = &self.data[r * row_bytes..(r + 1) * row_bytes];
+        let scales = &self.scales[r * ngroups..(r + 1) * ngroups];
+        let code = |nibble: u8| f32::from(i16::from(nibble) - 8);
+        let mut groups = out.chunks_exact_mut(GROUP);
+        for ((ws, bytes), s) in (&mut groups)
+            .zip(packed.chunks_exact(GROUP / 2))
+            .zip(scales)
+        {
+            let ws: &mut [f32; GROUP] = ws.try_into().expect("full group");
+            let bytes: &[u8; GROUP / 2] = bytes.try_into().expect("full group");
+            for j in 0..GROUP / 2 {
+                ws[2 * j] = code(bytes[j] & 0x0F) * s;
+                ws[2 * j + 1] = code(bytes[j] >> 4) * s;
+            }
+        }
+        let tail = groups.into_remainder();
+        let start = self.cols - tail.len();
+        for (c, w) in (start..).zip(tail) {
+            let byte = packed[c / 2];
+            let nibble = if c.is_multiple_of(2) {
+                byte & 0x0F
+            } else {
+                byte >> 4
+            };
+            *w = code(nibble) * scales[c / GROUP];
+        }
+    }
+
     /// Fused per-row dot product: unpack nibbles through a staged
     /// lane-block, accumulate in one [`LANES`]-wide f32 block spanning
-    /// the whole row, with the group scale folded into each product.
-    /// Shared by GEMV and GEMM.
+    /// the whole row, with the group scale folded into each product —
+    /// `dot_lanes` of [`Self::dequantize_row`], term by term.
     #[inline(always)]
     fn dot_row(&self, r: usize, x: &[f32]) -> f32 {
         let ngroups = groups_of(self.cols);
@@ -334,7 +368,9 @@ impl Quant4Matrix {
         }
     }
 
-    /// Batched fused GEMM, weight rows streamed once across the batch.
+    /// Batched GEMM, bit-identical per row to [`Self::gemv`]: the
+    /// `kernels::gemm` driver over rows dequantized once per call, or the
+    /// fused GEMV for a one-row batch.
     ///
     /// # Panics
     ///
@@ -343,12 +379,12 @@ impl Quant4Matrix {
         assert_eq!(xs.cols, self.cols, "q4gemm input dim");
         assert_eq!(out.rows, xs.rows, "q4gemm batch dim");
         assert_eq!(out.cols, self.rows, "q4gemm output dim");
-        for r in 0..self.rows {
-            for b in 0..xs.rows {
-                let v = self.dot_row(r, xs.row(b));
-                out.row_mut(b)[r] = v;
-            }
-        }
+        gemm_rows(
+            xs,
+            out,
+            |r, w| self.dequantize_row(r, w),
+            |x, o| self.gemv(x, o),
+        );
     }
 
     /// Storage bytes (packed data + scales): `rows * ceil(cols/2)` data

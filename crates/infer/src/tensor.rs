@@ -88,7 +88,8 @@ impl Matrix {
         let rows = u32::from_le_bytes(bytes[0..4].try_into().ok()?) as usize;
         let cols = u32::from_le_bytes(bytes[4..8].try_into().ok()?) as usize;
         let body = &bytes[8..];
-        if body.len() != rows * cols * 4 {
+        // A hostile header can name a shape whose byte count overflows.
+        if Some(body.len()) != rows.checked_mul(cols)?.checked_mul(4) {
             return None;
         }
         let data = body
@@ -123,6 +124,15 @@ mod tests {
         assert!(Matrix::from_bytes(&[1, 2, 3]).is_none());
         let mut b = Matrix::zeros(2, 2).to_bytes();
         b.pop();
+        assert!(Matrix::from_bytes(&b).is_none());
+    }
+
+    #[test]
+    fn from_bytes_rejects_overflowing_shape() {
+        // rows = cols = 2^31: rows * cols * 4 wraps to 0 on 64-bit.
+        let mut b = Vec::new();
+        b.extend_from_slice(&(1u32 << 31).to_le_bytes());
+        b.extend_from_slice(&(1u32 << 31).to_le_bytes());
         assert!(Matrix::from_bytes(&b).is_none());
     }
 

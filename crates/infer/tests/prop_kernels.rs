@@ -10,7 +10,9 @@
 //! * tiled ≡ naive GEMV within `1e-5` relative error (different
 //!   summation order, same value up to f32 rounding);
 //! * `gemm` ≡ per-row `gemv_tiled` **bit-identical** (they share
-//!   `dot_lanes`, so batching must not change a single ULP);
+//!   `dot_lanes`, so batching must not change a single ULP), and the
+//!   same for the int8 and int4 `gemm` against their fused `gemv`, over
+//!   batches that reach the batched driver's full 8-row input blocks;
 //! * quantization round-trips inside its analytical error bound
 //!   (`max|group|/254` for int8, `max|group|/14` for int4) and the
 //!   fused dot matches the dequantize-then-multiply reference;
@@ -107,6 +109,38 @@ proptest! {
                     "batch {} row {}: gemm {} != gemv_tiled {} ({}x{}, seed {})",
                     b, r, got, want, rows, cols, seed
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_format_gemm_is_bit_identical_to_its_gemv_per_row(batch in 1usize..=40,
+                                                             rows in rows_strategy(),
+                                                             cols in cols_strategy(),
+                                                             seed in any::<u32>()) {
+        // Batches up to 40 reach full input blocks of the batched driver
+        // as well as its leftover rows.
+        let w = lcg_matrix(rows, cols, seed);
+        let xs = lcg_matrix(batch, cols, seed.wrapping_add(11));
+        let q8 = QuantMatrix::quantize(&w);
+        let q4 = Quant4Matrix::quantize(&w);
+        let mut batched = [Matrix::zeros(batch, rows), Matrix::zeros(batch, rows), Matrix::zeros(batch, rows)];
+        gemm(&xs, &w, &mut batched[0]);
+        q8.gemm(&xs, &mut batched[1]);
+        q4.gemm(&xs, &mut batched[2]);
+        for b in 0..batch {
+            let mut single = [vec![0.0f32; rows], vec![0.0f32; rows], vec![0.0f32; rows]];
+            gemv_tiled(xs.row(b), &w, &mut single[0]);
+            q8.gemv(xs.row(b), &mut single[1]);
+            q4.gemv(xs.row(b), &mut single[2]);
+            for ((label, got), want) in ["f32", "int8", "int4"].iter().zip(&batched).zip(&single) {
+                for (r, (g, s)) in got.row(b).iter().zip(want).enumerate() {
+                    prop_assert_eq!(
+                        g.to_bits(), s.to_bits(),
+                        "{} batch {} row {}: gemm {} != gemv {} ({}x{}, seed {})",
+                        label, b, r, g, s, rows, cols, seed
+                    );
+                }
             }
         }
     }
